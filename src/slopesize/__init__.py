@@ -42,6 +42,7 @@ from .powersim import (
     PowerEstimate,
     SampleSizeResult,
     SearchFailureError,
+    SpreadUnderflowError,
     find_sample_size_slope,
     fit_slope_stats,
     power_table,

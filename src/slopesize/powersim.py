@@ -14,7 +14,11 @@ then settles on the smallest n whose validated mean power clears the target
 minus a slack band (half the binomial noise of one power estimate, at most
 0.005). Validation replays the estimate across plan.reps_outer independent
 runs of plan.reps_inner trials each, keyed disjointly from the search
-probes.
+probes. Run v has the same task keys at every n, so a search simulates each
+run at each n at most once: run powers are memoized per n, and a full
+validation extends its scout instead of repeating it. A scout that starts a
+fresh n also takes, from the same draws, the run powers at the few sizes
+just below n that the refinement steps to next (see _SCOUT_WINDOW).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "FitError",
     "DegenerateXError",
     "PerfectFitError",
+    "SpreadUnderflowError",
     "SearchFailureError",
     "FitStats",
     "PowerEstimate",
@@ -69,7 +74,16 @@ _X_STREAM = 100
 _EPS_STREAM = 101
 _MAX_RETRIES = 64
 
+# replicates per chunk of draws, capped so that one chunk array holds at
+# most _CHUNK_VARIATES variates; rows are independent streams, so the chunk
+# size never changes the draws, and memory stays bounded for any n
 _BATCH = 4096
+_CHUNK_VARIATES = _BATCH * 64
+
+# sizes below a fresh scout whose run powers come from the scout's draws.
+# From a passing start the refinement tries start-1, then start-3, then
+# bisects between them, so these are the sizes it asks for next.
+_SCOUT_WINDOW = 3
 
 
 class FitError(ValueError):
@@ -82,6 +96,10 @@ class DegenerateXError(FitError):
 
 class PerfectFitError(FitError):
     """Residual sum of squares is zero, so the t statistics are undefined."""
+
+
+class SpreadUnderflowError(FitError):
+    """S_XX * S_YY underflows to zero, so the correlation cannot be formed."""
 
 
 class SearchFailureError(RuntimeError):
@@ -157,7 +175,10 @@ def fit_slope_stats(xs, ys) -> FitStats:
     sigma_hat = math.sqrt(rss / (n - 2))
     sigma_x_hat = math.sqrt(sxx / (n - 1))
     t_slope = beta1_hat * sigma_x_hat / sigma_hat
-    rho_hat = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    sxx_syy = sxx * syy
+    if sxx_syy == 0.0:
+        raise SpreadUnderflowError("S_XX * S_YY underflows; the sample spread is too small")
+    rho_hat = max(-1.0, min(1.0, sxy / math.sqrt(sxx_syy)))
     # 1 - rho^2 = RSS / S_YY algebraically; this form cannot cancel to zero
     # for near-collinear data the way 1 - rho_hat**2 can
     t_corr = math.sqrt((n - 2) * syy / rss) * rho_hat
@@ -181,6 +202,51 @@ def _draw_pair(master_seed: int, task_id: int, n: int, attempt: int) -> tuple:
     return gx.standard_normal(n), ge.standard_normal(n)
 
 
+def _slope_t_prefixes(
+    lengths,
+    lam: float,
+    master_seed: int,
+    tasks: np.ndarray,
+    diagnostics: SimDiagnostics | None,
+) -> list[np.ndarray]:
+    """t_slope values at every sample size in lengths, one array per size.
+
+    Each replicate is drawn once, at the largest size; the values at a
+    smaller size m come from the first m observations of every row, which
+    are the draws at m (common random numbers). Each prefix is copied to a
+    contiguous array, so its reductions run exactly as on a draw of m
+    columns and every result is bit-identical to slope_t_batch(m, ...).
+    Degenerate replicates (zero S_XX or zero RSS, a probability-zero event)
+    are resampled at their own size with shifted stream roles.
+    """
+    n = max(lengths)
+    rows = max(1, min(_BATCH, _CHUNK_VARIATES // n))
+    out = [np.empty(len(tasks)) for _ in lengths]
+    for start in range(0, len(tasks), rows):
+        chunk = tasks[start : start + rows]
+        x_n = normal_matrix(master_seed, chunk, _X_STREAM, n)
+        e_n = normal_matrix(master_seed, chunk, _EPS_STREAM, n)
+        for m, t_vals in zip(lengths, out):
+            x = np.ascontiguousarray(x_n[:, :m])
+            e = np.ascontiguousarray(e_n[:, :m])
+            y = lam * x + e
+            dx = x - x.mean(axis=1, keepdims=True)
+            dy = y - y.mean(axis=1, keepdims=True)
+            sxx = np.einsum("ij,ij->i", dx, dx)
+            sxy = np.einsum("ij,ij->i", dx, dy)
+            syy = np.einsum("ij,ij->i", dy, dy)
+            bad = sxx == 0.0
+            sxx_safe = np.where(bad, 1.0, sxx)
+            rss = syy - sxy * sxy / sxx_safe
+            bad |= rss <= 0.0
+            rss_safe = np.where(bad, 1.0, rss)
+            t = (sxy / sxx_safe) * np.sqrt(sxx_safe / (m - 1)) / np.sqrt(rss_safe / (m - 2))
+            for i in np.flatnonzero(bad):
+                t[i] = _resample_replicate(m, lam, master_seed, int(chunk[i]), diagnostics)
+            t_vals[start : start + len(chunk)] = t
+    return out
+
+
 def slope_t_batch(
     n: int,
     lam: float,
@@ -192,30 +258,9 @@ def slope_t_batch(
 
     Degenerate replicates (zero S_XX or zero RSS, a probability-zero event)
     are resampled with shifted stream roles so the batch size stays fixed.
+    Memory is bounded for any n: draws are made a chunk of rows at a time.
     """
-    m = len(tasks)
-    t_vals = np.empty(m)
-    for start in range(0, m, _BATCH):
-        chunk = tasks[start : start + _BATCH]
-        b = len(chunk)
-        x = normal_matrix(master_seed, chunk, _X_STREAM, n)
-        e = normal_matrix(master_seed, chunk, _EPS_STREAM, n)
-        y = lam * x + e
-        dx = x - x.mean(axis=1, keepdims=True)
-        dy = y - y.mean(axis=1, keepdims=True)
-        sxx = np.einsum("ij,ij->i", dx, dx)
-        sxy = np.einsum("ij,ij->i", dx, dy)
-        syy = np.einsum("ij,ij->i", dy, dy)
-        bad = sxx == 0.0
-        sxx_safe = np.where(bad, 1.0, sxx)
-        rss = syy - sxy * sxy / sxx_safe
-        bad |= rss <= 0.0
-        rss_safe = np.where(bad, 1.0, rss)
-        t = (sxy / sxx_safe) * np.sqrt(sxx_safe / (n - 1)) / np.sqrt(rss_safe / (n - 2))
-        for i in np.flatnonzero(bad):
-            t[i] = _resample_replicate(n, lam, master_seed, int(chunk[i]), diagnostics)
-        t_vals[start : start + b] = t
-    return t_vals
+    return _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics)[0]
 
 
 def _resample_replicate(
@@ -289,7 +334,9 @@ class _SlopeSearch:
         self.threshold = target - _search_slack(target, plan.reps_inner)
         self.scout_runs = min(50, plan.reps_outer)
         self.diagnostics = SimDiagnostics()
-        self._full: dict[int, _Validation] = {}
+        # powers of validation runs 0, 1, ... at each n; lists only grow
+        self._powers: dict[int, list[float]] = {}
+        self._max_failed = 0
         self._critvals: dict[int, CriticalValueEstimate] = {}
 
     def critval(self, n: int) -> CriticalValueEstimate:
@@ -312,42 +359,55 @@ class _SlopeSearch:
         )
         return est.power
 
-    def validate(self, n: int, runs: int) -> _Validation:
-        c = self.critval(n)
+    def validate(self, n: int, runs: int, window=()) -> _Validation:
+        """Mean and sd of the first `runs` validation runs at n.
+
+        Only runs not yet simulated at n are drawn. Their draws also give
+        the same runs' powers at each size in window, which the caller
+        keeps to sizes below n with no runs yet.
+        """
+        powers = self._powers.setdefault(n, [])
         trials = self.plan.reps_inner
-        powers = np.empty(runs)
-        for v in range(runs):
+        lengths = (n, *window)
+        cvals = [self.critval(m).value for m in lengths]
+        for v in range(len(powers), runs):
             base = VALIDATION_TASK_BASE + v * trials
-            powers[v] = simulate_power_slope(
-                n,
-                self.lam,
-                self.alpha,
-                c,
-                trials,
-                self.plan.master_seed,
-                task_base=base,
-                diagnostics=self.diagnostics,
-            ).power
-        sd = float(np.std(powers, ddof=1)) if runs > 1 else 0.0
-        return _Validation(mean=float(np.mean(powers)), sd=sd, runs=runs)
+            tasks = np.arange(base, base + trials, dtype=np.int64)
+            t_sets = _slope_t_prefixes(
+                lengths, self.lam, self.plan.master_seed, tasks, self.diagnostics
+            )
+            for m, c, t_vals in zip(lengths, cvals, t_sets):
+                hits = np.count_nonzero(np.abs(t_vals) > c)
+                self._powers.setdefault(m, []).append(float(hits) / trials)
+        head = np.array(powers[:runs])
+        sd = float(np.std(head, ddof=1)) if runs > 1 else 0.0
+        return _Validation(mean=float(np.mean(head)), sd=sd, runs=runs)
 
     def full_validate(self, n: int) -> _Validation:
-        if n not in self._full:
-            self._full[n] = self.validate(n, self.plan.reps_outer)
-        return self._full[n]
+        return self.validate(n, self.plan.reps_outer)
+
+    def _window(self, n: int) -> list[int]:
+        """Sizes whose scout runs a fresh scout at n can take from its draws."""
+        if n in self._powers:
+            return []
+        below = range(n - 1, n - 1 - _SCOUT_WINDOW, -1)
+        return [m for m in below if m >= 5 and m > self._max_failed and m not in self._powers]
 
     def passes(self, n: int) -> bool:
         """Does n clear the validated threshold? Scout first, full depth if close."""
-        scout = self.validate(n, self.scout_runs)
+        if self._clears(n):
+            return True
+        self._max_failed = max(self._max_failed, n)
+        return False
+
+    def _clears(self, n: int) -> bool:
+        scout = self.validate(n, self.scout_runs, self._window(n))
         if self.scout_runs < self.plan.reps_outer:
             margin = 3.0 * scout.sd / math.sqrt(self.scout_runs)
             if scout.mean >= self.threshold + margin:
                 return True
             if scout.mean < self.threshold - margin:
                 return False
-        else:
-            self._full[n] = scout
-            return scout.mean >= self.threshold
         return self.full_validate(n).mean >= self.threshold
 
 

@@ -1,25 +1,31 @@
 """Least-squares fit statistics, power simulation, and the sample-size search."""
 
+import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from slopesize import powersim
 from slopesize.critvals import EXACT_MC, CriticalValueEstimate, cached_critical_value
 from slopesize.distmath import t_quantile
 from slopesize.powersim import (
     DegenerateXError,
+    FitError,
     PerfectFitError,
     SearchFailureError,
     SimDiagnostics,
+    SpreadUnderflowError,
     find_sample_size_slope,
     fit_slope_stats,
     power_table,
     simulate_power_slope,
+    slope_t_batch,
 )
-from slopesize.stochastics import SimPlan
+from slopesize.stochastics import VALIDATION_TASK_BASE, SimPlan
 
 SEED = 20260808
 
@@ -33,6 +39,12 @@ def exact_null_critval(n: int, alpha: float) -> CriticalValueEstimate:
     """
     value = t_quantile(1.0 - alpha / 2.0, n - 2) / math.sqrt(n - 1)
     return CriticalValueEstimate(n=n, alpha=alpha, value=value, sd=0.0, method=EXACT_MC)
+
+
+def spread_survives_shift(values, shift) -> bool:
+    """Does the spread of values span many rounding steps of values + shift?"""
+    step = math.ulp(max(abs(v + shift) for v in values))
+    return max(values) - min(values) > 2**32 * step
 
 
 small_datasets = st.integers(3, 20).flatmap(
@@ -73,6 +85,12 @@ class TestFitSlopeStats:
         with pytest.raises(PerfectFitError):
             fit_slope_stats([0, 1, 2, 3], [5, 5, 5, 5])
 
+    def test_underflowing_spread_raises_fit_error(self):
+        # S_XX * S_YY underflows to zero although both sums are positive
+        with pytest.raises(SpreadUnderflowError):
+            fit_slope_stats([0, 0, 7.79e-150], [0, 0, 7.79e-150])
+        assert issubclass(SpreadUnderflowError, FitError)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_slope_stats([1, 2, 3], [1, 2])
@@ -83,7 +101,7 @@ class TestFitSlopeStats:
         xs, ys = data
         try:
             fit = fit_slope_stats(xs, ys)
-        except (DegenerateXError, PerfectFitError):
+        except FitError:
             assume(False)
         assume(abs(fit.t_corr) < 1e8)
         assert fit.t_corr**2 == pytest.approx(
@@ -96,14 +114,18 @@ class TestFitSlopeStats:
         xs, ys = data
         try:
             base = fit_slope_stats(xs, ys)
-        except (DegenerateXError, PerfectFitError):
+        except FitError:
             assume(False)
         # near-perfect fits leave RSS at float-cancellation scale, where the
         # t statistics are rounding noise and a shift can flip RSS to zero
         assume(abs(base.t_slope) < 1e6)
+        # a shift rounds every value to the step of its shifted magnitude; a
+        # spread only a few steps wide (ys = [0, 0, 0, 0, 7.79e-150] with
+        # cy = 12.85) is lost, and the shifted sample is another sample
+        assume(spread_survives_shift(xs, cx) and spread_survives_shift(ys, cy))
         try:
             shifted = fit_slope_stats([x + cx for x in xs], [y + cy for y in ys])
-        except (DegenerateXError, PerfectFitError):
+        except FitError:
             assume(False)
         for field in ("beta1_hat", "sigma_hat", "sigma_x_hat", "t_slope", "rho_hat", "t_corr"):
             want = getattr(base, field)
@@ -146,11 +168,30 @@ class TestSimulatePowerSlope:
         b = simulate_power_slope(60, 0.5, 0.05, c, reps=20_000, master_seed=SEED)
         assert a == b
 
-    def test_common_random_numbers_share_draws(self):
+    def test_common_random_numbers_share_draws(self, monkeypatch):
         c30 = exact_null_critval(30, 0.05)
         one = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         two = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         assert one == two
+        # draws at a smaller n are a prefix of the draws at a larger n: the t
+        # values cut from one draw at 30 equal a draw at each shorter size,
+        # also for a replicate whose constant predictor is degenerate at all
+        draw = powersim.normal_matrix
+
+        def constant_x_for_task_700(master_seed, tasks, stream_id, n):
+            out = draw(master_seed, tasks, stream_id, n)
+            if stream_id == powersim._X_STREAM:
+                out[np.asarray(tasks) == 700] = 1.0
+            return out
+
+        monkeypatch.setattr(powersim, "normal_matrix", constant_x_for_task_700)
+        tasks = np.arange(500, 1_500, dtype=np.int64)
+        lengths = (30, 29, 27, 5)
+        diag = SimDiagnostics()
+        cut = powersim._slope_t_prefixes(lengths, 0.3, SEED, tasks, diag)
+        assert diag.resampled == len(lengths)
+        for m, t_vals in zip(lengths, cut):
+            assert t_vals.tobytes() == slope_t_batch(m, 0.3, SEED, tasks).tobytes()
 
     def test_diagnostics_counter_untouched_on_clean_runs(self):
         diag = SimDiagnostics()
@@ -163,7 +204,60 @@ class TestSimulatePowerSlope:
             simulate_power_slope(4, 0.5, 0.05, exact_null_critval(30, 0.05), 100, SEED)
 
 
+class TestSlopeTBatch:
+    def test_memory_bounded_at_large_n(self):
+        # one chunk of draws holds at most 4096 x 64 variates per stream
+        tracemalloc.start()
+        try:
+            slope_t_batch(5000, 0.05, 1, np.arange(4096))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_split_tasks_give_identical_values(self):
+        # at n = 600 a chunk holds 436 rows, so the two forms chunk differently
+        tasks = np.arange(1_000, dtype=np.int64)
+        whole = slope_t_batch(600, 0.3, SEED, tasks)
+        split = np.concatenate(
+            [slope_t_batch(600, 0.3, SEED, tasks[:300]), slope_t_batch(600, 0.3, SEED, tasks[300:])]
+        )
+        assert whole.tobytes() == split.tobytes()
+
+
+# (lam, alpha, target, power plan, critical-value plan) and the search result
+# (n, validated_mean.hex(), validated_sd.hex()) recorded when every
+# validation run was simulated afresh; memoized runs must not move a bit
+GOLDEN_SEARCHES = [
+    (
+        (0.6, 0.10, 0.80, SimPlan(1_000, 60, SEED), SimPlan(2_000, 10, SEED)),
+        (22, "0x1.98d2ceb622adep-1", "0x1.7e10bf955ba27p-7"),
+    ),
+    (
+        (0.6, 0.10, 0.90, SimPlan(500, 55, SEED + 2), SimPlan(1_000, 10, SEED)),
+        (29, "0x1.cc4c1c72d641fp-1", "0x1.077f0670b553bp-6"),
+    ),
+]
+
+
 class TestFindSampleSize:
+    @pytest.mark.parametrize("cell, golden", GOLDEN_SEARCHES)
+    def test_golden_search_draws_each_run_once(self, monkeypatch, cell, golden):
+        lam, alpha, target, plan, cv_plan = cell
+        drawn = collections.Counter()
+        draw = powersim.normal_matrix
+
+        def counting_draw(master_seed, tasks, stream_id, n):
+            if stream_id == powersim._X_STREAM:
+                drawn.update((n, int(t)) for t in tasks if t >= VALIDATION_TASK_BASE)
+            return draw(master_seed, tasks, stream_id, n)
+
+        monkeypatch.setattr(powersim, "normal_matrix", counting_draw)
+        res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=cv_plan)
+        assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == golden
+        # no validation replicate is drawn twice at the same n
+        assert drawn and max(drawn.values()) == 1
+
     def test_small_cell_matches_published_value(self, session_cache):
         # table anchor: lam=0.6, alpha=0.10, 80% -> n = 21
         plan = SimPlan(reps_inner=1_000, reps_outer=100, master_seed=SEED)
