@@ -7,8 +7,12 @@ lam = beta1 * sigma_x / sigma_eps maps to the correlation through
 
 Correlation power uses the bias-corrected Fisher arctanh approximation with
 the critical correlation implied by the t test of the sample correlation;
-a bivariate-normal Monte Carlo of the same test serves as its oracle. The
-contrast table puts the slope-route sample size (simulated) next to the
+a bivariate-normal Monte Carlo of the same test serves as its oracle. That
+oracle runs through the slope route's replicate kernel: the response
+y = rho * x + sqrt(1 - rho^2) * z is lam * x + z up to a positive factor,
+which leaves the slope t statistic T unchanged, and on every sample the
+correlation statistic is T1 = sqrt(n - 1) * T. Only the stream roles differ.
+The contrast table puts the slope-route sample size (simulated) next to the
 correlation-route sample size (deterministic) for each (lam, target) cell.
 """
 
@@ -26,9 +30,11 @@ from .powersim import (
     SampleSizeResult,
     SearchFailureError,
     SimDiagnostics,
+    _slope_t_prefixes,
     find_sample_size_slope,
 )
-from .stochastics import SimPlan, StreamKey, generator, normal_matrix
+from .stochastics import SimPlan
+from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
 
 __all__ = [
     "ContrastRow",
@@ -41,10 +47,8 @@ __all__ = [
     "rho_lambda_curve",
 ]
 
-# stream roles for one correlation replicate; retry k shifts both by 2k
-_X_STREAM = 200
-_Z_STREAM = 201
-_MAX_RETRIES = 64
+# stream roles (x, z) of one correlation replicate; retry k shifts both by 2k
+_CORR_ROLES = (200, 201)
 
 
 @dataclass(frozen=True)
@@ -93,33 +97,6 @@ def corr_power_approx(n: int, rho: float, alpha: float) -> float:
     return normal_cdf((z_r - z_rc) * s) + normal_cdf((-z_r - z_rc) * s)
 
 
-def _corr_t1_retry(
-    n: int,
-    rho: float,
-    master_seed: int,
-    task: int,
-    diagnostics: SimDiagnostics | None,
-) -> float:
-    """Redraw a degenerate replicate with shifted stream roles."""
-    root = math.sqrt(1.0 - rho * rho)
-    for attempt in range(1, _MAX_RETRIES + 1):
-        if diagnostics is not None:
-            diagnostics.resampled += 1
-        x = generator(StreamKey(master_seed, task, _X_STREAM + 2 * attempt)).standard_normal(n)
-        z = generator(StreamKey(master_seed, task, _Z_STREAM + 2 * attempt)).standard_normal(n)
-        y = rho * x + root * z
-        dx = x - x.mean()
-        dy = y - y.mean()
-        sxx = float(dx @ dx)
-        syy = float(dy @ dy)
-        if sxx <= 0.0 or syy <= 0.0:
-            continue
-        r = float(dx @ dy) / math.sqrt(sxx * syy)
-        if abs(r) < 1.0:
-            return math.sqrt(n - 2) * r / math.sqrt(1.0 - r * r)
-    raise SearchFailureError(f"replicate {task} stayed degenerate after {_MAX_RETRIES} retries")
-
-
 def corr_t1_batch(
     n: int,
     rho: float,
@@ -127,24 +104,16 @@ def corr_t1_batch(
     tasks,
     diagnostics: SimDiagnostics | None = None,
 ) -> np.ndarray:
-    """T1 statistics of bivariate-normal replicates, one per task id."""
-    x = normal_matrix(master_seed, tasks, _X_STREAM, n)
-    z = normal_matrix(master_seed, tasks, _Z_STREAM, n)
-    y = rho * x + math.sqrt(1.0 - rho * rho) * z
-    dx = x - x.mean(axis=1, keepdims=True)
-    dy = y - y.mean(axis=1, keepdims=True)
-    sxx = np.einsum("ij,ij->i", dx, dx)
-    syy = np.einsum("ij,ij->i", dy, dy)
-    sxy = np.einsum("ij,ij->i", dx, dy)
-    denom = sxx * syy
-    bad = denom <= 0.0
-    r = sxy / np.sqrt(np.where(bad, 1.0, denom))
-    bad |= np.abs(r) >= 1.0
-    r_safe = np.where(bad, 0.0, r)
-    t1 = math.sqrt(n - 2) * r_safe / np.sqrt(1.0 - r_safe * r_safe)
-    for i in np.flatnonzero(bad):
-        t1[i] = _corr_t1_retry(n, rho, master_seed, int(tasks[i]), diagnostics)
-    return t1
+    """T1 statistics of bivariate-normal replicates, one per task id.
+
+    Replicate i pairs x and z from its own streams and takes
+    y = rho * x + sqrt(1 - rho^2) * z. Memory is bounded for any n: the
+    slope kernel draws a chunk of rows at a time. Degenerate replicates are
+    resampled with shifted stream roles.
+    """
+    lam = rho_to_lambda(rho)
+    t = _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics, _CORR_ROLES)[0]
+    return math.sqrt(n - 1) * t
 
 
 def corr_power_mc(

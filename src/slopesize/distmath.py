@@ -13,6 +13,7 @@ enough headroom for those targets.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 __all__ = [
     "NonConvergenceError",
@@ -55,27 +56,8 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf, by bracketed bisection plus a secant polish."""
-    _check_prob(p)
-    if p == 0.5:
-        return 0.0
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(hi)):
-            break
-    x = 0.5 * (lo + hi)
-    # one secant/Newton step sharpens the last bits; phi(x) is the derivative
-    phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if phi > 0.0:
-        x -= (normal_cdf(x) - p) / phi
-    return x
+    """Inverse of normal_cdf (Wichura's AS 241, through statistics.NormalDist)."""
+    return NormalDist().inv_cdf(_check_prob(p))
 
 
 def _log_beta(a: float, b: float) -> float:

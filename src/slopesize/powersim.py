@@ -24,6 +24,7 @@ just below n that the refinement steps to next (see _SCOUT_WINDOW).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,7 @@ from .critvals import (
     CriticalValueEstimate,
     cached_critical_value,
 )
-from .stochastics import (
-    VALIDATION_TASK_BASE,
-    SimPlan,
-    StreamKey,
-    generator,
-    normal_matrix,
-)
+from .stochastics import VALIDATION_TASK_BASE, SimPlan, normal_matrix
 
 __all__ = [
     "FitError",
@@ -69,9 +64,11 @@ def _search_slack(target: float, trials: int) -> float:
     return min(POWER_SLACK, 0.5 * math.sqrt(target * (1.0 - target) / trials))
 
 
-# stream roles for one slope replicate; retry k shifts both roles by 2k
+# stream roles (predictor, noise) of one slope replicate; retry k shifts
+# both by 2k. The correlation route passes its own pair to the same kernel.
 _X_STREAM = 100
 _EPS_STREAM = 101
+_SLOPE_ROLES = (_X_STREAM, _EPS_STREAM)
 _MAX_RETRIES = 64
 
 # replicates per chunk of draws, capped so that one chunk array holds at
@@ -99,7 +96,7 @@ class PerfectFitError(FitError):
 
 
 class SpreadUnderflowError(FitError):
-    """S_XX * S_YY underflows to zero, so the correlation cannot be formed."""
+    """S_XX * S_YY is subnormal or zero, so the correlation loses precision."""
 
 
 class SearchFailureError(RuntimeError):
@@ -176,7 +173,7 @@ def fit_slope_stats(xs, ys) -> FitStats:
     sigma_x_hat = math.sqrt(sxx / (n - 1))
     t_slope = beta1_hat * sigma_x_hat / sigma_hat
     sxx_syy = sxx * syy
-    if sxx_syy == 0.0:
+    if sxx_syy < sys.float_info.min:
         raise SpreadUnderflowError("S_XX * S_YY underflows; the sample spread is too small")
     rho_hat = max(-1.0, min(1.0, sxy / math.sqrt(sxx_syy)))
     # 1 - rho^2 = RSS / S_YY algebraically; this form cannot cancel to zero
@@ -196,36 +193,35 @@ def fit_slope_stats(xs, ys) -> FitStats:
     )
 
 
-def _draw_pair(master_seed: int, task_id: int, n: int, attempt: int) -> tuple:
-    gx = generator(StreamKey(master_seed, task_id, _X_STREAM + 2 * attempt))
-    ge = generator(StreamKey(master_seed, task_id, _EPS_STREAM + 2 * attempt))
-    return gx.standard_normal(n), ge.standard_normal(n)
-
-
 def _slope_t_prefixes(
     lengths,
     lam: float,
     master_seed: int,
     tasks: np.ndarray,
     diagnostics: SimDiagnostics | None,
+    roles: tuple[int, int],
 ) -> list[np.ndarray]:
     """t_slope values at every sample size in lengths, one array per size.
 
-    Each replicate is drawn once, at the largest size; the values at a
-    smaller size m come from the first m observations of every row, which
-    are the draws at m (common random numbers). Each prefix is copied to a
+    Replicate i has predictor x from stream roles[0] and noise e from
+    roles[1] under task id tasks[i], and response lam * x + e. Each
+    replicate is drawn once, at the largest size; the values at a smaller
+    size m come from the first m observations of every row, which are the
+    draws at m (common random numbers). Each prefix is copied to a
     contiguous array, so its reductions run exactly as on a draw of m
-    columns and every result is bit-identical to slope_t_batch(m, ...).
-    Degenerate replicates (zero S_XX or zero RSS, a probability-zero event)
-    are resampled at their own size with shifted stream roles.
+    columns and every result is bit-identical to a draw at m. Rows are drawn
+    a chunk at a time, so memory is bounded for any n. Degenerate replicates
+    (zero S_XX or zero RSS, a probability-zero event) are resampled at their
+    own size with shifted stream roles.
     """
     n = max(lengths)
     rows = max(1, min(_BATCH, _CHUNK_VARIATES // n))
+    x_role, e_role = roles
     out = [np.empty(len(tasks)) for _ in lengths]
     for start in range(0, len(tasks), rows):
         chunk = tasks[start : start + rows]
-        x_n = normal_matrix(master_seed, chunk, _X_STREAM, n)
-        e_n = normal_matrix(master_seed, chunk, _EPS_STREAM, n)
+        x_n = normal_matrix(master_seed, chunk, x_role, n)
+        e_n = normal_matrix(master_seed, chunk, e_role, n)
         for m, t_vals in zip(lengths, out):
             x = np.ascontiguousarray(x_n[:, :m])
             e = np.ascontiguousarray(e_n[:, :m])
@@ -242,7 +238,9 @@ def _slope_t_prefixes(
             rss_safe = np.where(bad, 1.0, rss)
             t = (sxy / sxx_safe) * np.sqrt(sxx_safe / (m - 1)) / np.sqrt(rss_safe / (m - 2))
             for i in np.flatnonzero(bad):
-                t[i] = _resample_replicate(m, lam, master_seed, int(chunk[i]), diagnostics)
+                t[i] = _resample_replicate(
+                    m, lam, master_seed, int(chunk[i]), diagnostics, roles
+                )
             t_vals[start : start + len(chunk)] = t
     return out
 
@@ -260,16 +258,24 @@ def slope_t_batch(
     are resampled with shifted stream roles so the batch size stays fixed.
     Memory is bounded for any n: draws are made a chunk of rows at a time.
     """
-    return _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics)[0]
+    return _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics, _SLOPE_ROLES)[0]
 
 
 def _resample_replicate(
-    n: int, lam: float, master_seed: int, task: int, diagnostics: SimDiagnostics | None
+    n: int,
+    lam: float,
+    master_seed: int,
+    task: int,
+    diagnostics: SimDiagnostics | None,
+    roles: tuple[int, int],
 ) -> float:
+    """t_slope of a replicate redrawn on roles shifted by 2k at retry k."""
+    x_role, e_role = roles
     for attempt in range(1, _MAX_RETRIES + 1):
         if diagnostics is not None:
             diagnostics.resampled += 1
-        x, e = _draw_pair(master_seed, task, n, attempt)
+        x = normal_matrix(master_seed, (task,), x_role + 2 * attempt, n)[0]
+        e = normal_matrix(master_seed, (task,), e_role + 2 * attempt, n)[0]
         try:
             return fit_slope_stats(x, lam * x + e).t_slope
         except FitError:
@@ -374,7 +380,7 @@ class _SlopeSearch:
             base = VALIDATION_TASK_BASE + v * trials
             tasks = np.arange(base, base + trials, dtype=np.int64)
             t_sets = _slope_t_prefixes(
-                lengths, self.lam, self.plan.master_seed, tasks, self.diagnostics
+                lengths, self.lam, self.plan.master_seed, tasks, self.diagnostics, _SLOPE_ROLES
             )
             for m, c, t_vals in zip(lengths, cvals, t_sets):
                 hits = np.count_nonzero(np.abs(t_vals) > c)

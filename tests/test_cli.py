@@ -248,3 +248,31 @@ class TestCacheCommand:
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
         code, _, err = run_cli(capsys, "cache", "show")
         assert code == 2
+
+
+# stdout of fixed-seed commands, captured before the correlation Monte Carlo
+# moved onto the slope kernel and the normal quantile onto NormalDist
+GOLDEN_STDOUT = [
+    ("critval --n 30 --alpha 0.05 --method exact --seed 1 --fast",
+     "n=30 alpha=0.05 value=0.394253 sd=0.016264 method=exact_mc\n"),
+    ("critval --n 30 --alpha 0.05 --method normal",
+     "n=30 alpha=0.05 value=0.391434 sd=0.0 method=normal_approx\n"),
+    ("power --route slope --n 48 --lambda 0.5 --alpha 0.05 --seed 1 --fast",
+     "n=48 alpha=0.05 lambda=0.5 power=0.889 sd=0.009934 route=slope\n"),
+    ("power --route corr --mc --n 123 --rho 0.2873 --alpha 0.05 --seed 1 --fast",
+     "n=123 alpha=0.05 rho=0.2873 power=0.895 sd=0.009694 route=correlation-mc\n"),
+    ("power --route fixed --A 0.5 --sxx 100 --sigma 1 --n 30 --alpha 0.05",
+     "n=30 alpha=0.05 power=0.997897 route=fixed\n"),
+    ("samplesize --route slope --alpha 0.10 --power 0.8 --lambda 0.6 --fast --seed 1",
+     "n=22 target_power=0.8 validated_mean=0.80104 validated_sd=0.011732 route=slope\n"),
+    ("samplesize --route corr --lambda 0.5 --alpha 0.05 --power 0.90",
+     "n=48 target_power=0.9 rho=0.447214 power_at_n=0.902721 route=correlation\n"),
+]
+
+
+@pytest.mark.parametrize("command, stdout", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, monkeypatch, command, stdout):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == stdout

@@ -81,10 +81,12 @@ class TestNormalQuantile:
         assert normal_quantile(0.5) == 0.0
 
     def test_known_z_values(self):
-        # scipy: 1.6448536269514722, 1.959963984540054, 2.5758293035489004
+        # scipy: 1.6448536269514722, 1.959963984540054, 2.5758293035489004,
+        # 7.0344869100478356
         assert normal_quantile(0.95) == pytest.approx(1.6448536269514722, abs=1e-9)
         assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
         assert normal_quantile(0.995) == pytest.approx(2.5758293035489004, abs=1e-9)
+        assert normal_quantile(1 - 1e-12) == pytest.approx(7.0344869100478356, abs=1e-9)
 
     @given(st.floats(0.0005, 0.9995))
     @settings(max_examples=50)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slopesize import powersim
+from slopesize.corroute import corr_t1_batch
 from slopesize.critvals import EXACT_MC, CriticalValueEstimate, cached_critical_value
 from slopesize.distmath import t_quantile
 from slopesize.powersim import (
@@ -45,6 +46,11 @@ def spread_survives_shift(values, shift) -> bool:
     """Does the spread of values span many rounding steps of values + shift?"""
     step = math.ulp(max(abs(v + shift) for v in values))
     return max(values) - min(values) > 2**32 * step
+
+
+def shift_rounding(values, shift) -> float:
+    """Rounding step of values + shift relative to the spread of values."""
+    return math.ulp(max(abs(v + shift) for v in values)) / (max(values) - min(values))
 
 
 small_datasets = st.integers(3, 20).flatmap(
@@ -89,6 +95,9 @@ class TestFitSlopeStats:
         # S_XX * S_YY underflows to zero although both sums are positive
         with pytest.raises(SpreadUnderflowError):
             fit_slope_stats([0, 0, 7.79e-150], [0, 0, 7.79e-150])
+        # a subnormal product (about 1.5e-320) has lost most of its digits
+        with pytest.raises(SpreadUnderflowError):
+            fit_slope_stats([0, 0, 1], [0, 1.8374404648819965e-160, 0])
         assert issubclass(SpreadUnderflowError, FitError)
 
     def test_length_mismatch(self):
@@ -116,13 +125,17 @@ class TestFitSlopeStats:
             base = fit_slope_stats(xs, ys)
         except FitError:
             assume(False)
-        # near-perfect fits leave RSS at float-cancellation scale, where the
-        # t statistics are rounding noise and a shift can flip RSS to zero
-        assume(abs(base.t_slope) < 1e6)
         # a shift rounds every value to the step of its shifted magnitude; a
         # spread only a few steps wide (ys = [0, 0, 0, 0, 7.79e-150] with
         # cy = 12.85) is lost, and the shifted sample is another sample
         assume(spread_survives_shift(xs, cx) and spread_survives_shift(ys, cy))
+        # that rounding perturbs the sums of squares by about delta relative,
+        # and RSS = S_YY - S_XY^2 / S_XX amplifies it by S_YY / RSS: a
+        # near-perfect fit (xs = [0, 0, 1], ys = [6.1e-05, 0, 1], cy = 1 has
+        # S_YY / RSS = 3.6e8) moves its t statistics past the tolerance
+        delta = max(2.0**-52, shift_rounding(xs, cx), shift_rounding(ys, cy))
+        syy = base.rss + base.sxy * base.sxy / base.sxx
+        assume(delta * syy / base.rss < 1e-10)
         try:
             shifted = fit_slope_stats([x + cx for x in xs], [y + cy for y in ys])
         except FitError:
@@ -188,7 +201,7 @@ class TestSimulatePowerSlope:
         tasks = np.arange(500, 1_500, dtype=np.int64)
         lengths = (30, 29, 27, 5)
         diag = SimDiagnostics()
-        cut = powersim._slope_t_prefixes(lengths, 0.3, SEED, tasks, diag)
+        cut = powersim._slope_t_prefixes(lengths, 0.3, SEED, tasks, diag, powersim._SLOPE_ROLES)
         assert diag.resampled == len(lengths)
         for m, t_vals in zip(lengths, cut):
             assert t_vals.tobytes() == slope_t_batch(m, 0.3, SEED, tasks).tobytes()
@@ -205,11 +218,19 @@ class TestSimulatePowerSlope:
 
 
 class TestSlopeTBatch:
-    def test_memory_bounded_at_large_n(self):
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            lambda: slope_t_batch(5000, 0.05, 1, np.arange(4096)),
+            lambda: corr_t1_batch(5000, 0.3, 1, np.arange(4096)),
+        ],
+        ids=["slope", "corr"],
+    )
+    def test_memory_bounded_at_large_n(self, batch):
         # one chunk of draws holds at most 4096 x 64 variates per stream
         tracemalloc.start()
         try:
-            slope_t_batch(5000, 0.05, 1, np.arange(4096))
+            batch()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
