@@ -35,6 +35,8 @@ def main(argv=None) -> int:
     ext = {"csv": "csv", "markdown": "md", "json": "jsonl"}[args.format]
 
     which = args.only or range(1, 8)
+    # tables 5-7 reuse the slope-route searches of tables 2-4
+    power_rows: dict = {}
     for table_id in which:
         dest = out_dir / f"table{table_id}.{ext}"
         t0 = time.perf_counter()
@@ -44,7 +46,7 @@ def main(argv=None) -> int:
         ]
         if args.fast:
             argv_table.append("--fast")
-        code = cli.main(argv_table)
+        code = cli.main(argv_table, power_rows)
         if code != 0:
             print(f"table {table_id} failed with exit code {code}", file=sys.stderr)
             return code

@@ -135,23 +135,33 @@ def _write_output(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def build_table(which: int, cv_plan: SimPlan, pw_plan: SimPlan, cache) -> tuple[list[dict], list[str], dict]:
-    """Rows, column order, and display rounding for one standard table."""
+def build_table(
+    which: int, cv_plan: SimPlan, pw_plan: SimPlan, cache, power_rows: dict | None = None
+) -> tuple[list[dict], list[str], dict]:
+    """Rows, column order, and display rounding for one standard table.
+
+    Tables 2-4 are slope-route searches over the grid and tables 5-7 set
+    the same searches against the correlation route. power_rows, when
+    given, keeps the search rows of each (alpha, cv_plan, pw_plan) across
+    calls, so tables 2 and 5 (3 and 6, 4 and 7) search each cell once.
+    """
     if which == 1:
         rows = critvals.table1(range(20, 101), cv_plan)
         rounding = {c: ".3f" for c in critvals.TABLE1_COLUMNS if c != "samplesize"}
         return rows, critvals.TABLE1_COLUMNS, rounding
     alpha = TABLE_ALPHAS[which]
-    if which in (2, 3, 4):
-        rows = powersim.power_table(
+    searched = {} if power_rows is None else power_rows
+    key = (alpha, cv_plan, pw_plan)
+    if key not in searched:
+        searched[key] = powersim.power_table(
             alpha, DEFAULT_LAMBDAS, DEFAULT_TARGETS, pw_plan,
             cache=cache, critval_plan=cv_plan,
         )
+    if which in (2, 3, 4):
         cols = ["lambda", "power", "n", "mean", "sd"]
-        return rows, cols, {"mean": ".4f", "sd": ".4f"}
+        return searched[key], cols, {"mean": ".4f", "sd": ".4f"}
     rows_c = corroute.contrast_table(
-        alpha, DEFAULT_LAMBDAS, DEFAULT_TARGETS, pw_plan,
-        cache=cache, critval_plan=cv_plan,
+        alpha, DEFAULT_LAMBDAS, DEFAULT_TARGETS, pw_plan, power_rows=searched[key]
     )
     rows = [
         {
@@ -270,7 +280,9 @@ def cmd_table(args) -> int:
     cv_plan, pw_plan = _plans(args, seed)
     _echo(f"seed: {seed}")
     t0 = time.perf_counter()
-    rows, cols, rounding = build_table(args.which, cv_plan, pw_plan, _resolve_cache(args))
+    rows, cols, rounding = build_table(
+        args.which, cv_plan, pw_plan, _resolve_cache(args), args.power_rows
+    )
     text = render_rows(rows, cols, args.format, rounding)
     _write_output(text, args.out)
     _echo(f"table {args.which}: {len(rows)} rows in {time.perf_counter() - t0:.1f}s")
@@ -364,9 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, power_rows: dict | None = None) -> int:
+    """Run one command; power_rows is passed to build_table by `table`."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.power_rows = power_rows
     try:
         return args.func(args)
     except UsageError as exc:

@@ -11,7 +11,8 @@ a bivariate-normal Monte Carlo of the same test serves as its oracle. That
 oracle runs through the slope route's replicate kernel: the response
 y = rho * x + sqrt(1 - rho^2) * z is lam * x + z up to a positive factor,
 which leaves the slope t statistic T unchanged, and on every sample the
-correlation statistic is T1 = sqrt(n - 1) * T. Only the stream roles differ.
+correlation statistic is T1 = sqrt(n - 1) * T. Only the stream roles differ:
+a run's x and z blocks come from roles 200 and 201 under its first task id.
 The contrast table puts the slope-route sample size (simulated) next to the
 correlation-route sample size (deterministic) for each (lam, target) cell.
 """
@@ -31,7 +32,7 @@ from .powersim import (
     SearchFailureError,
     SimDiagnostics,
     _slope_t_prefixes,
-    find_sample_size_slope,
+    power_table,
 )
 from .stochastics import SimPlan
 from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
@@ -47,7 +48,8 @@ __all__ = [
     "rho_lambda_curve",
 ]
 
-# stream roles (x, z) of one correlation replicate; retry k shifts both by 2k
+# stream roles (x, z) of one correlation run; the retry k of a degenerate
+# replicate shifts both by 2k
 _CORR_ROLES = (200, 201)
 
 
@@ -104,12 +106,14 @@ def corr_t1_batch(
     tasks,
     diagnostics: SimDiagnostics | None = None,
 ) -> np.ndarray:
-    """T1 statistics of bivariate-normal replicates, one per task id.
+    """T1 statistics of one run of bivariate-normal replicates, one per task id.
 
-    Replicate i pairs x and z from its own streams and takes
-    y = rho * x + sqrt(1 - rho^2) * z. Memory is bounded for any n: the
-    slope kernel draws a chunk of rows at a time. Degenerate replicates are
-    resampled with shifted stream roles.
+    tasks must be consecutive. Replicate i takes column i of the run's x and
+    z blocks, read from the streams (master_seed, tasks[0], 200) and
+    (master_seed, tasks[0], 201), and y = rho * x + sqrt(1 - rho^2) * z.
+    Memory is bounded for any n: the slope kernel reads a block of rows at
+    a time. Degenerate replicates are redrawn on their own task id with
+    shifted stream roles.
     """
     lam = rho_to_lambda(rho)
     t = _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics, _CORR_ROLES)[0]
@@ -179,15 +183,22 @@ def contrast_table(
     *,
     cache: CriticalValueCache | None = None,
     critval_plan: SimPlan | None = None,
+    power_rows: list[dict] | None = None,
 ) -> list[ContrastRow]:
-    """Slope-route versus correlation-route sample sizes over a grid."""
+    """Slope-route versus correlation-route sample sizes over a grid.
+
+    The slope-route sizes come from powersim.power_table on the same grid
+    and plans; pass its rows as power_rows to reuse searches already made.
+    """
+    if power_rows is None:
+        power_rows = power_table(
+            alpha, lambdas, targets, plan, cache=cache, critval_plan=critval_plan
+        )
+    n_slope = {(row["lambda"], row["power"]): row["n"] for row in power_rows}
     rows = []
     for lam in lambdas:
         rho = lambda_to_rho(lam)
         for target in targets:
-            n_slope = find_sample_size_slope(
-                lam, alpha, target, plan, cache=cache, critval_plan=critval_plan
-            ).n
             n_corr = find_sample_size_corr(rho, alpha, target, plan).n
             rows.append(
                 ContrastRow(
@@ -195,9 +206,9 @@ def contrast_table(
                     lam=lam,
                     rho=rho,
                     target_power=target,
-                    n_slope=n_slope,
+                    n_slope=n_slope[lam, target],
                     n_corr=n_corr,
-                    difference=n_slope - n_corr,
+                    difference=n_slope[lam, target] - n_corr,
                 )
             )
     return rows

@@ -3,11 +3,14 @@
 Data generation follows the reduced form of the model: the rejection law of
 T = b1_hat * sx_hat / s_hat depends on the parameters only through the
 effect size lam = beta1 * sigma_x / sigma_eps, so replicates are drawn with
-sigma_x = sigma_eps = 1, mu_x = beta0 = 0 and beta1 = lam. Each replicate
-derives its predictor and noise vectors from its own stream keys, which
-makes every estimate bit-reproducible and gives common random numbers
-across sample sizes for free (draws for smaller n are prefixes of draws for
-larger n).
+sigma_x = sigma_eps = 1, mu_x = beta0 = 0 and beta1 = lam. A run of trials
+(one power estimate) reads its predictors from one stream and its noise
+from another, both keyed by the run's first task id, as blocks with one row
+per observation and one column per trial. This makes every estimate
+bit-reproducible and gives common random numbers across sample sizes for
+free: the draws at a smaller n are the first rows of the draws at a larger
+n, and the moments are merged block by block so that the t values cut at a
+smaller n are bit-identical to a run drawn at that n.
 
 The sample-size search brackets by doubling, bisects on probe estimates,
 then settles on the smallest n whose validated mean power clears the target
@@ -17,8 +20,9 @@ runs of plan.reps_inner trials each, keyed disjointly from the search
 probes. Run v has the same task keys at every n, so a search simulates each
 run at each n at most once: run powers are memoized per n, and a full
 validation extends its scout instead of repeating it. A scout that starts a
-fresh n also takes, from the same draws, the run powers at the few sizes
-just below n that the refinement steps to next (see _SCOUT_WINDOW).
+fresh n also takes, from the same draws, the runs' t values at the few sizes
+just below n that the refinement steps to next (see _SCOUT_WINDOW), and
+scores them when the search first asks for one of those sizes.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .critvals import (
     CriticalValueEstimate,
     cached_critical_value,
 )
-from .stochastics import VALIDATION_TASK_BASE, SimPlan, normal_matrix
+from .stochastics import VALIDATION_TASK_BASE, SimPlan, StreamKey, generator, normal_matrix
 
 __all__ = [
     "FitError",
@@ -64,18 +68,19 @@ def _search_slack(target: float, trials: int) -> float:
     return min(POWER_SLACK, 0.5 * math.sqrt(target * (1.0 - target) / trials))
 
 
-# stream roles (predictor, noise) of one slope replicate; retry k shifts
-# both by 2k. The correlation route passes its own pair to the same kernel.
+# stream roles (predictor, noise) of one slope run; the retry k of a
+# degenerate trial shifts both by 2k. The correlation route passes its own
+# pair to the same kernel.
 _X_STREAM = 100
 _EPS_STREAM = 101
 _SLOPE_ROLES = (_X_STREAM, _EPS_STREAM)
 _MAX_RETRIES = 64
 
-# replicates per chunk of draws, capped so that one chunk array holds at
-# most _CHUNK_VARIATES variates; rows are independent streams, so the chunk
-# size never changes the draws, and memory stays bounded for any n
-_BATCH = 4096
-_CHUNK_VARIATES = _BATCH * 64
+# variates per block array: a run is read max(1, _CHUNK_VARIATES // trials)
+# observations at a time, which bounds memory for any n; the block size
+# depends only on the trial count, so a prefix of a run is bit-identical to
+# a shorter run
+_CHUNK_VARIATES = 4096 * 64
 
 # sizes below a fresh scout whose run powers come from the scout's draws.
 # From a passing start the refinement tries start-1, then start-3, then
@@ -193,55 +198,100 @@ def fit_slope_stats(xs, ys) -> FitStats:
     )
 
 
+def _block_moments(x: np.ndarray, e: np.ndarray, lam: float) -> tuple:
+    """(count, mean x, mean y, S_XX, S_XY, S_YY) per column, y = lam * x + e."""
+    y = lam * x + e
+    mx = x.mean(axis=0)
+    my = y.mean(axis=0)
+    dx = x - mx
+    dy = y - my
+    return (
+        len(x),
+        mx,
+        my,
+        np.einsum("ij,ij->j", dx, dx),
+        np.einsum("ij,ij->j", dx, dy),
+        np.einsum("ij,ij->j", dy, dy),
+    )
+
+
+def _merge_moments(a: tuple | None, b: tuple) -> tuple:
+    """Centered moments of two blocks of observations combined (Chan et al.)."""
+    if a is None:
+        return b
+    na, mxa, mya, sxxa, sxya, syya = a
+    nb, mxb, myb, sxxb, sxyb, syyb = b
+    n = na + nb
+    dx = mxb - mxa
+    dy = myb - mya
+    w = na * nb / n
+    return (
+        n,
+        mxa + dx * (nb / n),
+        mya + dy * (nb / n),
+        sxxa + sxxb + w * dx * dx,
+        sxya + sxyb + w * dx * dy,
+        syya + syyb + w * dy * dy,
+    )
+
+
 def _slope_t_prefixes(
     lengths,
     lam: float,
     master_seed: int,
-    tasks: np.ndarray,
+    tasks,
     diagnostics: SimDiagnostics | None,
     roles: tuple[int, int],
 ) -> list[np.ndarray]:
     """t_slope values at every sample size in lengths, one array per size.
 
-    Replicate i has predictor x from stream roles[0] and noise e from
-    roles[1] under task id tasks[i], and response lam * x + e. Each
-    replicate is drawn once, at the largest size; the values at a smaller
-    size m come from the first m observations of every row, which are the
-    draws at m (common random numbers). Each prefix is copied to a
-    contiguous array, so its reductions run exactly as on a draw of m
-    columns and every result is bit-identical to a draw at m. Rows are drawn
-    a chunk at a time, so memory is bounded for any n. Degenerate replicates
-    (zero S_XX or zero RSS, a probability-zero event) are resampled at their
-    own size with shifted stream roles.
+    tasks is one run: a range of consecutive task ids, one per trial. The
+    run's predictor x comes from the stream (master_seed, tasks[0],
+    roles[0]) and its noise e from (master_seed, tasks[0], roles[1]), each
+    read as a block with one row per observation and one column per trial;
+    the response is lam * x + e. The run is drawn once, at the largest
+    size, and a smaller size m is its first m rows (common random numbers).
+
+    Rows are read a block of R = max(1, _CHUNK_VARIATES // trials) at a time,
+    so memory is bounded for any n, and the centered moments of each block
+    are merged into running moments per trial. The value at m merges the
+    full blocks below m with the first m - kR rows of block k; since R
+    depends only on the trial count, every result is bit-identical to a
+    draw at m. Degenerate trials (zero S_XX or zero RSS, a probability-zero
+    event) are redrawn on their own task id with roles shifted by 2k at
+    retry k.
     """
+    tasks = np.asarray(tasks, dtype=np.int64)
+    if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
+        raise ValueError("tasks must be a nonempty range of consecutive task ids")
+    trials = len(tasks)
+    rows = max(1, _CHUNK_VARIATES // trials)
     n = max(lengths)
-    rows = max(1, min(_BATCH, _CHUNK_VARIATES // n))
-    x_role, e_role = roles
-    out = [np.empty(len(tasks)) for _ in lengths]
-    for start in range(0, len(tasks), rows):
-        chunk = tasks[start : start + rows]
-        x_n = normal_matrix(master_seed, chunk, x_role, n)
-        e_n = normal_matrix(master_seed, chunk, e_role, n)
-        for m, t_vals in zip(lengths, out):
-            x = np.ascontiguousarray(x_n[:, :m])
-            e = np.ascontiguousarray(e_n[:, :m])
-            y = lam * x + e
-            dx = x - x.mean(axis=1, keepdims=True)
-            dy = y - y.mean(axis=1, keepdims=True)
-            sxx = np.einsum("ij,ij->i", dx, dx)
-            sxy = np.einsum("ij,ij->i", dx, dy)
-            syy = np.einsum("ij,ij->i", dy, dy)
-            bad = sxx == 0.0
-            sxx_safe = np.where(bad, 1.0, sxx)
-            rss = syy - sxy * sxy / sxx_safe
-            bad |= rss <= 0.0
-            rss_safe = np.where(bad, 1.0, rss)
-            t = (sxy / sxx_safe) * np.sqrt(sxx_safe / (m - 1)) / np.sqrt(rss_safe / (m - 2))
-            for i in np.flatnonzero(bad):
-                t[i] = _resample_replicate(
-                    m, lam, master_seed, int(chunk[i]), diagnostics, roles
-                )
-            t_vals[start : start + len(chunk)] = t
+    x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
+    e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
+    moments: dict[int, tuple] = {}
+    total = None  # merged moments of the full blocks read so far
+    for start in range(0, n, rows):
+        size = min(rows, n - start)
+        x = x_gen.standard_normal((size, trials))
+        e = e_gen.standard_normal((size, trials))
+        for cut in {m - start for m in lengths if start < m <= start + size}:
+            moments[start + cut] = _merge_moments(total, _block_moments(x[:cut], e[:cut], lam))
+        if start + size < n:
+            full = moments.get(start + rows)
+            total = full if full is not None else _merge_moments(total, _block_moments(x, e, lam))
+    out = []
+    for m in lengths:
+        _, _, _, sxx, sxy, syy = moments[m]
+        bad = sxx == 0.0
+        sxx_safe = np.where(bad, 1.0, sxx)
+        rss = syy - sxy * sxy / sxx_safe
+        bad |= rss <= 0.0
+        rss_safe = np.where(bad, 1.0, rss)
+        t = (sxy / sxx_safe) * np.sqrt(sxx_safe / (m - 1)) / np.sqrt(rss_safe / (m - 2))
+        for i in np.flatnonzero(bad):
+            t[i] = _resample_replicate(m, lam, master_seed, int(tasks[i]), diagnostics, roles)
+        out.append(t)
     return out
 
 
@@ -252,11 +302,13 @@ def slope_t_batch(
     tasks: np.ndarray,
     diagnostics: SimDiagnostics | None = None,
 ) -> np.ndarray:
-    """t_slope values for the replicates named by task ids, keyed per replicate.
+    """t_slope values of one run, one per task id (see _slope_t_prefixes).
 
-    Degenerate replicates (zero S_XX or zero RSS, a probability-zero event)
-    are resampled with shifted stream roles so the batch size stays fixed.
-    Memory is bounded for any n: draws are made a chunk of rows at a time.
+    tasks must be consecutive; the run's draws are keyed by tasks[0], so
+    runs with disjoint task ranges are independent. Degenerate replicates
+    (zero S_XX or zero RSS, a probability-zero event) are redrawn on shifted
+    stream roles so the batch size stays fixed. Memory is bounded for any
+    n: rows are drawn a block at a time.
     """
     return _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics, _SLOPE_ROLES)[0]
 
@@ -342,6 +394,9 @@ class _SlopeSearch:
         self.diagnostics = SimDiagnostics()
         # powers of validation runs 0, 1, ... at each n; lists only grow
         self._powers: dict[int, list[float]] = {}
+        # |t| of the scout runs a fresh scout drew for a size below it, kept
+        # unscored until the search asks for that size (see validate)
+        self._window_abs_t: dict[int, list[np.ndarray]] = {}
         self._max_failed = 0
         self._critvals: dict[int, CriticalValueEstimate] = {}
 
@@ -369,22 +424,26 @@ class _SlopeSearch:
         """Mean and sd of the first `runs` validation runs at n.
 
         Only runs not yet simulated at n are drawn. Their draws also give
-        the same runs' powers at each size in window, which the caller
-        keeps to sizes below n with no runs yet.
+        the same runs' |t| values at each size in window, which the caller
+        keeps to sizes below n with no runs yet; those are scored against
+        their critical value only once the search asks for that size, so a
+        window size it never asks for costs no critical value.
         """
-        powers = self._powers.setdefault(n, [])
         trials = self.plan.reps_inner
+        c = self.critval(n).value
+        powers = self._powers.setdefault(n, [])
+        pending = self._window_abs_t.pop(n, [])
+        powers.extend(np.count_nonzero(abs_t > c) / trials for abs_t in pending)
         lengths = (n, *window)
-        cvals = [self.critval(m).value for m in lengths]
         for v in range(len(powers), runs):
             base = VALIDATION_TASK_BASE + v * trials
             tasks = np.arange(base, base + trials, dtype=np.int64)
-            t_sets = _slope_t_prefixes(
+            t_n, *t_window = _slope_t_prefixes(
                 lengths, self.lam, self.plan.master_seed, tasks, self.diagnostics, _SLOPE_ROLES
             )
-            for m, c, t_vals in zip(lengths, cvals, t_sets):
-                hits = np.count_nonzero(np.abs(t_vals) > c)
-                self._powers.setdefault(m, []).append(float(hits) / trials)
+            powers.append(np.count_nonzero(np.abs(t_n) > c) / trials)
+            for m, t_vals in zip(window, t_window):
+                self._window_abs_t.setdefault(m, []).append(np.abs(t_vals))
         head = np.array(powers[:runs])
         sd = float(np.std(head, ddof=1)) if runs > 1 else 0.0
         return _Validation(mean=float(np.mean(head)), sd=sd, runs=runs)
@@ -394,10 +453,11 @@ class _SlopeSearch:
 
     def _window(self, n: int) -> list[int]:
         """Sizes whose scout runs a fresh scout at n can take from its draws."""
-        if n in self._powers:
+        drawn = self._powers.keys() | self._window_abs_t.keys()
+        if n in drawn:
             return []
         below = range(n - 1, n - 1 - _SCOUT_WINDOW, -1)
-        return [m for m in below if m >= 5 and m > self._max_failed and m not in self._powers]
+        return [m for m in below if m >= 5 and m > self._max_failed and m not in drawn]
 
     def passes(self, n: int) -> bool:
         """Does n clear the validated threshold? Scout first, full depth if close."""

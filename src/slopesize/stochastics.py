@@ -3,18 +3,26 @@
 Reproducibility contract: every Monte Carlo routine in this package derives
 all of its variates from an explicit (master_seed, task_id, stream_id) key,
 never from a shared sequential generator. A given key maps to a fixed
-position in the counter space of a Philox bit generator, so results are
-bit-identical for a given plan regardless of evaluation order, chunking, or
-worker count.
+position in the counter space of a Philox bit generator. A power run (one
+estimate over a range of consecutive task ids, one per trial) reads each of
+its two streams, keyed by its first task id, as a block with one row per
+observation and one column per trial, a bounded number of rows at a time;
+that number depends only on the trial count. So results are bit-identical
+for a given plan regardless of the order in which runs are evaluated, the
+worker that evaluates them, or the sample size a run is cut to.
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
 
     0-3       chi-square factors W1..W4 of the null T^2 ratio
-    100+2k    predictor draws for slope-power replicates (retry k)
-    101+2k    noise draws for slope-power replicates (retry k)
-    200+2k    predictor draws for correlation-power replicates (retry k)
-    201+2k    second normal factor for correlation-power replicates (retry k)
+    100       predictor block of a slope-power run (first task id)
+    101       noise block of a slope-power run (first task id)
+    102+2k    predictor of retry k of a degenerate slope replicate (its task id)
+    103+2k    noise of retry k of a degenerate slope replicate (its task id)
+    200       predictor block of a correlation-power run (first task id)
+    201       second normal factor block of a correlation-power run
+    202+2k    predictor of retry k of a degenerate correlation replicate
+    203+2k    second factor of retry k of a degenerate correlation replicate
 
 Validation runs in the sample-size search shift task ids by
 VALIDATION_TASK_BASE so they are independent of the search probes.
@@ -105,45 +113,15 @@ def generator(key: StreamKey) -> Generator:
     return Generator(bit_gen)
 
 
-class _StreamPool:
-    """One reusable Philox/Generator pair, re-keyed per stream by state writes.
-
-    Re-keying through the state dict skips bit-generator construction (about
-    5x cheaper) and is bit-identical to generator(key); the equivalence is
-    pinned by a test. Instances are cheap local objects, so hot loops stay
-    thread-safe by simply not sharing them.
-    """
-
-    def __init__(self) -> None:
-        self._bit_gen = Philox(key=np.zeros(2, dtype=np.uint64))
-        self.gen = Generator(self._bit_gen)
-        self._state = self._bit_gen.state
-
-    def seek(self, master_seed: int, task_id: int, stream_id: int) -> Generator:
-        st = self._state
-        inner = st["state"]
-        inner["counter"][:] = 0
-        inner["counter"][2] = stream_id
-        inner["key"][0] = master_seed
-        inner["key"][1] = task_id
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bit_gen.state = st
-        return self.gen
-
-
 def normal_matrix(master_seed: int, tasks, stream_id: int, n: int) -> np.ndarray:
     """Standard normals, one row per task id, each row from its own stream.
 
-    Row i is bit-identical to normal_array(StreamKey(master_seed, tasks[i],
-    stream_id), n); this is the batched form used by the simulation hot
-    paths.
+    Row i is normal_array(StreamKey(master_seed, tasks[i], stream_id), n);
+    the power kernel redraws degenerate replicates with it.
     """
-    pool = _StreamPool()
     out = np.empty((len(tasks), n))
     for i, task in enumerate(tasks):
-        out[i] = pool.seek(master_seed, int(task), stream_id).standard_normal(n)
+        out[i] = normal_array(StreamKey(master_seed, int(task), stream_id), n)
     return out
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from slopesize import powersim
 from slopesize.critvals import CriticalValueCache
 
 # one fixed seed for the whole suite so every Monte Carlo check is a
@@ -11,3 +12,33 @@ SUITE_SEED = 20260808
 def session_cache(tmp_path_factory) -> CriticalValueCache:
     """Critical-value cache shared across the whole test session."""
     return CriticalValueCache(tmp_path_factory.mktemp("critvals") / "cache.txt")
+
+
+@pytest.fixture
+def constant_column(monkeypatch):
+    """constant_column(column, role) makes one trial's stream constant.
+
+    It patches powersim.generator so that the blocks read from stream id
+    role hold 1.0 in one column, which makes that trial of every run on
+    the role degenerate (S_XX = 0) at every sample size.
+    """
+    real = powersim.generator
+
+    class ConstantColumn:
+        def __init__(self, gen, column):
+            self._gen = gen
+            self._column = column
+
+        def standard_normal(self, shape):
+            out = self._gen.standard_normal(shape)
+            out[:, self._column] = 1.0
+            return out
+
+    def patch(column, role):
+        def patched(key):
+            gen = real(key)
+            return ConstantColumn(gen, column) if key.stream_id == role else gen
+
+        monkeypatch.setattr(powersim, "generator", patched)
+
+    return patch

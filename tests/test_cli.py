@@ -1,6 +1,8 @@
 """Command-line surface: parsing, output contracts, exit codes, determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +222,37 @@ class TestTable:
         assert exc.value.code == 2
 
 
+def load_reproduce_tables():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_tables_searches_each_cell_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_search(lam, alpha, target, plan, **kwargs):
+        calls.append((lam, alpha, target))
+        n = round(10 / (lam * alpha) * target)
+        return SampleSizeResult(n, target, target + 0.001, 0.01, "slope")
+
+    monkeypatch.setattr(cli.powersim, "find_sample_size_slope", fake_search)
+    script = load_reproduce_tables()
+    out = tmp_path / "tables"
+    only = ["--only", "2", "3", "4", "5", "6", "7"]
+    assert script.main(["--out", str(out), "--fast", "--seed", "5", *only]) == 0
+    assert len(calls) == 72 and len(set(calls)) == 72
+    # tables 5-7 read the searches of tables 2-4 and match a standalone run
+    for which in (5, 6, 7):
+        alone = tmp_path / f"alone{which}.csv"
+        argv = ["table", "--which", str(which), "--seed", "5", "--fast", "--out", str(alone)]
+        assert cli.main(argv) == 0
+        assert (out / f"table{which}.csv").read_bytes() == alone.read_bytes()
+    assert len(calls) == 72 + 3 * 24
+
+
 class TestCacheCommand:
     def test_show_and_clear(self, capsys, tmp_path):
         cache_path = tmp_path / "cv.txt"
@@ -251,20 +284,22 @@ class TestCacheCommand:
 
 
 # stdout of fixed-seed commands, captured before the correlation Monte Carlo
-# moved onto the slope kernel and the normal quantile onto NormalDist
+# moved onto the slope kernel and the normal quantile onto NormalDist; the
+# slope and correlation Monte Carlo lines were captured again when each run
+# moved onto one stream pair (the critical-value lines did not move)
 GOLDEN_STDOUT = [
     ("critval --n 30 --alpha 0.05 --method exact --seed 1 --fast",
      "n=30 alpha=0.05 value=0.394253 sd=0.016264 method=exact_mc\n"),
     ("critval --n 30 --alpha 0.05 --method normal",
      "n=30 alpha=0.05 value=0.391434 sd=0.0 method=normal_approx\n"),
     ("power --route slope --n 48 --lambda 0.5 --alpha 0.05 --seed 1 --fast",
-     "n=48 alpha=0.05 lambda=0.5 power=0.889 sd=0.009934 route=slope\n"),
+     "n=48 alpha=0.05 lambda=0.5 power=0.917 sd=0.008724 route=slope\n"),
     ("power --route corr --mc --n 123 --rho 0.2873 --alpha 0.05 --seed 1 --fast",
-     "n=123 alpha=0.05 rho=0.2873 power=0.895 sd=0.009694 route=correlation-mc\n"),
+     "n=123 alpha=0.05 rho=0.2873 power=0.896 sd=0.009653 route=correlation-mc\n"),
     ("power --route fixed --A 0.5 --sxx 100 --sigma 1 --n 30 --alpha 0.05",
      "n=30 alpha=0.05 power=0.997897 route=fixed\n"),
     ("samplesize --route slope --alpha 0.10 --power 0.8 --lambda 0.6 --fast --seed 1",
-     "n=22 target_power=0.8 validated_mean=0.80104 validated_sd=0.011732 route=slope\n"),
+     "n=22 target_power=0.8 validated_mean=0.80292 validated_sd=0.010503 route=slope\n"),
     ("samplesize --route corr --lambda 0.5 --alpha 0.05 --power 0.90",
      "n=48 target_power=0.9 rho=0.447214 power_at_n=0.902721 route=correlation\n"),
 ]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from slopesize import powersim
 from slopesize.corroute import (
     contrast_table,
     corr_power_approx,
@@ -20,7 +19,7 @@ from slopesize.corroute import (
     rho_to_lambda,
 )
 from slopesize.powersim import SimDiagnostics, fit_slope_stats
-from slopesize.stochastics import SimPlan, StreamKey, normal_array
+from slopesize.stochastics import SimPlan, StreamKey, generator, normal_array
 
 SEED = 20260808
 
@@ -42,11 +41,19 @@ CORR_N = {
 TARGETS = [0.80, 0.90, 0.95, 0.99]
 
 
-def reference_t1(n, rho, task, x_role=200, z_role=201):
-    """T1 of one replicate drawn on its own streams and fitted directly."""
+def reference_t1(n, rho, task, x_role, z_role):
+    """T1 of one replicate redrawn on its own task id's streams, fitted directly."""
     x = normal_array(StreamKey(SEED, task, x_role), n)
     z = normal_array(StreamKey(SEED, task, z_role), n)
     return fit_slope_stats(x, rho * x + math.sqrt(1.0 - rho * rho) * z).t_corr
+
+
+def run_reference_t1(n, rho, first_task, trials):
+    """T1 of every replicate of one run, fitted directly on its x and z blocks."""
+    x = generator(StreamKey(SEED, first_task, 200)).standard_normal((n, trials))
+    z = generator(StreamKey(SEED, first_task, 201)).standard_normal((n, trials))
+    y = rho * x + math.sqrt(1.0 - rho * rho) * z
+    return np.array([fit_slope_stats(x[:, i], y[:, i]).t_corr for i in range(trials)])
 
 
 class TestBridge:
@@ -146,26 +153,17 @@ class TestCorrPowerMc:
 
     @pytest.mark.parametrize("n, rho", [(5, 0.3), (40, -0.6), (123, 0.2873)])
     def test_t1_matches_direct_fit(self, n, rho):
-        tasks = [0, 1, 17, 999]
+        tasks = np.arange(17, 57)
         t1 = corr_t1_batch(n, rho, SEED, tasks)
-        for task, value in zip(tasks, t1):
-            assert value == pytest.approx(reference_t1(n, rho, task), rel=1e-12)
+        assert t1 == pytest.approx(run_reference_t1(n, rho, 17, len(tasks)), rel=1e-12)
 
-    def test_degenerate_replicate_is_redrawn_on_shifted_roles(self, monkeypatch):
-        draw = powersim.normal_matrix
-
-        def constant_x_for_task_3(master_seed, tasks, stream_id, n):
-            out = draw(master_seed, tasks, stream_id, n)
-            if stream_id == 200:
-                out[np.asarray(tasks) == 3] = 1.0
-            return out
-
-        monkeypatch.setattr(powersim, "normal_matrix", constant_x_for_task_3)
+    def test_degenerate_replicate_is_redrawn_on_shifted_roles(self, constant_column):
+        constant_column(3, 200)
         diag = SimDiagnostics()
         t1 = corr_t1_batch(30, 0.4, SEED, np.arange(8), diag)
         assert diag.resampled == 1
         assert t1[3] == pytest.approx(reference_t1(30, 0.4, 3, 202, 203), rel=1e-12)
-        assert t1[4] == pytest.approx(reference_t1(30, 0.4, 4), rel=1e-12)
+        assert t1[4] == pytest.approx(run_reference_t1(30, 0.4, 0, 8)[4], rel=1e-12)
 
     def test_t1_null_distribution(self):
         # under rho=0 the statistic is exactly t with n-2 df

@@ -26,7 +26,13 @@ from slopesize.powersim import (
     simulate_power_slope,
     slope_t_batch,
 )
-from slopesize.stochastics import VALIDATION_TASK_BASE, SimPlan
+from slopesize.stochastics import (
+    VALIDATION_TASK_BASE,
+    SimPlan,
+    StreamKey,
+    generator,
+    normal_array,
+)
 
 SEED = 20260808
 
@@ -40,6 +46,13 @@ def exact_null_critval(n: int, alpha: float) -> CriticalValueEstimate:
     """
     value = t_quantile(1.0 - alpha / 2.0, n - 2) / math.sqrt(n - 1)
     return CriticalValueEstimate(n=n, alpha=alpha, value=value, sd=0.0, method=EXACT_MC)
+
+
+def run_reference_t(n: int, lam: float, first_task: int, trials: int) -> np.ndarray:
+    """t_slope of every trial of one run, by a two-pass fit of its whole block."""
+    x = generator(StreamKey(SEED, first_task, powersim._X_STREAM)).standard_normal((n, trials))
+    e = generator(StreamKey(SEED, first_task, powersim._EPS_STREAM)).standard_normal((n, trials))
+    return np.array([fit_slope_stats(x[:, i], lam * x[:, i] + e[:, i]).t_slope for i in range(trials)])
 
 
 def spread_survives_shift(values, shift) -> bool:
@@ -181,23 +194,15 @@ class TestSimulatePowerSlope:
         b = simulate_power_slope(60, 0.5, 0.05, c, reps=20_000, master_seed=SEED)
         assert a == b
 
-    def test_common_random_numbers_share_draws(self, monkeypatch):
+    def test_common_random_numbers_share_draws(self, constant_column):
         c30 = exact_null_critval(30, 0.05)
         one = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         two = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         assert one == two
         # draws at a smaller n are a prefix of the draws at a larger n: the t
         # values cut from one draw at 30 equal a draw at each shorter size,
-        # also for a replicate whose constant predictor is degenerate at all
-        draw = powersim.normal_matrix
-
-        def constant_x_for_task_700(master_seed, tasks, stream_id, n):
-            out = draw(master_seed, tasks, stream_id, n)
-            if stream_id == powersim._X_STREAM:
-                out[np.asarray(tasks) == 700] = 1.0
-            return out
-
-        monkeypatch.setattr(powersim, "normal_matrix", constant_x_for_task_700)
+        # also for a trial whose constant predictor is degenerate at all
+        constant_column(200, powersim._X_STREAM)
         tasks = np.arange(500, 1_500, dtype=np.int64)
         lengths = (30, 29, 27, 5)
         diag = SimDiagnostics()
@@ -205,6 +210,10 @@ class TestSimulatePowerSlope:
         assert diag.resampled == len(lengths)
         for m, t_vals in zip(lengths, cut):
             assert t_vals.tobytes() == slope_t_batch(m, 0.3, SEED, tasks).tobytes()
+        # the retry redraws trial 200 on its own task id, 700, at roles 102/103
+        x = normal_array(StreamKey(SEED, 700, 102), 30)
+        e = normal_array(StreamKey(SEED, 700, 103), 30)
+        assert cut[0][200] == fit_slope_stats(x, 0.3 * x + e).t_slope
 
     def test_diagnostics_counter_untouched_on_clean_runs(self):
         diag = SimDiagnostics()
@@ -236,27 +245,52 @@ class TestSlopeTBatch:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
-    def test_split_tasks_give_identical_values(self):
-        # at n = 600 a chunk holds 436 rows, so the two forms chunk differently
+    def test_prefixes_are_bit_identical_across_block_boundaries(self, monkeypatch):
+        # 100 trials read 10 observations per block: the sizes below end
+        # inside, at and just past block boundaries
+        monkeypatch.setattr(powersim, "_CHUNK_VARIATES", 1_000)
+        tasks = np.arange(40, 140, dtype=np.int64)
+        lengths = (37, 30, 29, 21, 20, 11, 10, 9, 5)
+        cut = powersim._slope_t_prefixes(lengths, 0.4, SEED, tasks, None, powersim._SLOPE_ROLES)
+        for m, t_vals in zip(lengths, cut):
+            assert t_vals.tobytes() == slope_t_batch(m, 0.4, SEED, tasks).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1_000, 4096 * 64])
+    def test_blocked_moments_match_two_pass_fit(self, monkeypatch, chunk):
+        monkeypatch.setattr(powersim, "_CHUNK_VARIATES", chunk)
+        n, lam, trials = 47, 0.7, 100
+        tasks = np.arange(3_000, 3_000 + trials, dtype=np.int64)
+        t_vals = slope_t_batch(n, lam, SEED, tasks)
+        assert t_vals == pytest.approx(run_reference_t(n, lam, 3_000, trials), rel=1e-12)
+
+    def test_tasks_must_be_consecutive(self):
+        for tasks in ([0, 1, 3], [5, 4, 3], [], np.array([[0, 1], [2, 3]])):
+            with pytest.raises(ValueError, match="consecutive"):
+                slope_t_batch(10, 0.3, SEED, tasks)
+
+    def test_split_tasks_are_separate_runs(self):
+        # each part of a split task range is its own run, keyed by its first
+        # task id: its values fit its own block, not the columns of the whole
         tasks = np.arange(1_000, dtype=np.int64)
         whole = slope_t_batch(600, 0.3, SEED, tasks)
-        split = np.concatenate(
-            [slope_t_batch(600, 0.3, SEED, tasks[:300]), slope_t_batch(600, 0.3, SEED, tasks[300:])]
-        )
-        assert whole.tobytes() == split.tobytes()
+        tail = slope_t_batch(600, 0.3, SEED, tasks[300:])
+        assert tail == pytest.approx(run_reference_t(600, 0.3, 300, 700), rel=1e-12)
+        assert not np.array_equal(tail, whole[300:])
+        # evaluation order and other runs leave a run's values unchanged
+        assert slope_t_batch(600, 0.3, SEED, tasks).tobytes() == whole.tobytes()
 
 
 # (lam, alpha, target, power plan, critical-value plan) and the search result
-# (n, validated_mean.hex(), validated_sd.hex()) recorded when every
-# validation run was simulated afresh; memoized runs must not move a bit
+# (n, validated_mean.hex(), validated_sd.hex()), recorded with one stream
+# pair per run; memoized runs and window sizes must not move a bit
 GOLDEN_SEARCHES = [
     (
         (0.6, 0.10, 0.80, SimPlan(1_000, 60, SEED), SimPlan(2_000, 10, SEED)),
-        (22, "0x1.98d2ceb622adep-1", "0x1.7e10bf955ba27p-7"),
+        (22, "0x1.98fc504816f00p-1", "0x1.8647ad25b2c7fp-7"),
     ),
     (
         (0.6, 0.10, 0.90, SimPlan(500, 55, SEED + 2), SimPlan(1_000, 10, SEED)),
-        (29, "0x1.cc4c1c72d641fp-1", "0x1.077f0670b553bp-6"),
+        (29, "0x1.cd2297b371295p-1", "0x1.aa0a75b5193fep-7"),
     ),
 ]
 
@@ -266,18 +300,42 @@ class TestFindSampleSize:
     def test_golden_search_draws_each_run_once(self, monkeypatch, cell, golden):
         lam, alpha, target, plan, cv_plan = cell
         drawn = collections.Counter()
-        draw = powersim.normal_matrix
+        kernel = powersim._slope_t_prefixes
 
-        def counting_draw(master_seed, tasks, stream_id, n):
-            if stream_id == powersim._X_STREAM:
-                drawn.update((n, int(t)) for t in tasks if t >= VALIDATION_TASK_BASE)
-            return draw(master_seed, tasks, stream_id, n)
+        def counting_kernel(lengths, lam, master_seed, tasks, diagnostics, roles):
+            if tasks[0] >= VALIDATION_TASK_BASE:
+                drawn[max(lengths), int(tasks[0])] += 1
+            return kernel(lengths, lam, master_seed, tasks, diagnostics, roles)
 
-        monkeypatch.setattr(powersim, "normal_matrix", counting_draw)
+        monkeypatch.setattr(powersim, "_slope_t_prefixes", counting_kernel)
         res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=cv_plan)
         assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == golden
-        # no validation replicate is drawn twice at the same n
+        # no validation run is drawn twice at the same n
         assert drawn and max(drawn.values()) == 1
+
+    def test_critical_values_only_at_sizes_asked_for(self, monkeypatch):
+        # a scout's window sizes below it get a critical value only once the
+        # search asks for them
+        asked, computed = set(), []
+        lookup = powersim.cached_critical_value
+
+        def recording_lookup(n, alpha, plan, cache=None):
+            computed.append(n)
+            return lookup(n, alpha, plan, cache)
+
+        def asking(method):
+            def wrapper(search, n):
+                asked.add(n)
+                return method(search, n)
+            return wrapper
+
+        monkeypatch.setattr(powersim, "cached_critical_value", recording_lookup)
+        monkeypatch.setattr(powersim._SlopeSearch, "probe", asking(powersim._SlopeSearch.probe))
+        monkeypatch.setattr(powersim._SlopeSearch, "passes", asking(powersim._SlopeSearch.passes))
+        # at this seed a scout draws the window size 26, which is never asked for
+        plan = SimPlan(500, 55, SEED)
+        find_sample_size_slope(0.6, 0.10, 0.90, plan, critval_plan=SimPlan(1_000, 10, SEED))
+        assert computed and set(computed) <= asked
 
     def test_small_cell_matches_published_value(self, session_cache):
         # table anchor: lam=0.6, alpha=0.10, 80% -> n = 21
