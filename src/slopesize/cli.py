@@ -71,18 +71,19 @@ def _resolve_cache(args) -> critvals.CriticalValueCache | None:
     return critvals.CriticalValueCache(path) if path else None
 
 
-def _plans(args, seed: int) -> tuple[SimPlan, SimPlan]:
-    """(critical-value plan, power plan) with --fast and explicit overrides."""
+def _plans(args) -> tuple[int, SimPlan, SimPlan]:
+    """Seed (echoed), critical-value plan, power plan; --reps-* set both plans."""
+    seed = _resolve_seed(args)
     cv_inner, cv_outer = FAST_CRITVAL if args.fast else FULL_CRITVAL
     pw_inner, pw_outer = FAST_POWER if args.fast else FULL_POWER
     if getattr(args, "reps_inner", None) is not None:
         cv_inner = pw_inner = args.reps_inner
     if getattr(args, "reps_outer", None) is not None:
         cv_outer = pw_outer = args.reps_outer
-    return (
-        SimPlan(reps_inner=cv_inner, reps_outer=cv_outer, master_seed=seed),
-        SimPlan(reps_inner=pw_inner, reps_outer=pw_outer, master_seed=seed),
-    )
+    cv_plan = SimPlan(reps_inner=cv_inner, reps_outer=cv_outer, master_seed=seed)
+    pw_plan = SimPlan(reps_inner=pw_inner, reps_outer=pw_outer, master_seed=seed)
+    _echo(f"seed: {seed}")
+    return seed, cv_plan, pw_plan
 
 
 def _echo(msg: str) -> None:
@@ -183,9 +184,7 @@ def build_table(
 # ---------------------------------------------------------------------------
 
 def cmd_critval(args) -> int:
-    seed = _resolve_seed(args)
-    cv_plan, _ = _plans(args, seed)
-    _echo(f"seed: {seed}")
+    _, cv_plan, _ = _plans(args)
     if args.method == "normal":
         est = critvals.critical_value_normal(args.n, args.alpha)
     else:
@@ -199,9 +198,7 @@ def cmd_critval(args) -> int:
 
 
 def cmd_power(args) -> int:
-    seed = _resolve_seed(args)
-    cv_plan, pw_plan = _plans(args, seed)
-    _echo(f"seed: {seed}")
+    seed, cv_plan, pw_plan = _plans(args)
     if args.route == "fixed":
         if args.A is None or args.sxx is None or args.sigma is None:
             raise UsageError("--route fixed needs --A, --sxx, and --sigma")
@@ -244,9 +241,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
-    seed = _resolve_seed(args)
-    cv_plan, pw_plan = _plans(args, seed)
-    _echo(f"seed: {seed}")
+    seed, cv_plan, pw_plan = _plans(args)
     if (args.rho is None) == (args.lam is None):
         raise UsageError("exactly one of --rho / --lambda is required")
     if args.route == "slope":
@@ -276,9 +271,7 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_table(args) -> int:
-    seed = _resolve_seed(args)
-    cv_plan, pw_plan = _plans(args, seed)
-    _echo(f"seed: {seed}")
+    seed, cv_plan, pw_plan = _plans(args)
     t0 = time.perf_counter()
     rows, cols, rounding = build_table(
         args.which, cv_plan, pw_plan, _resolve_cache(args), args.power_rows
@@ -309,14 +302,15 @@ def cmd_cache(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, cache: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (echoed when drawn)")
     p.add_argument("--fast", action="store_true", help="reduced replication preset")
-    p.add_argument("--reps-inner", type=int, default=None, help="override inner replications")
-    p.add_argument("--reps-outer", type=int, default=None, help="override outer replications")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    if cache:
-        p.add_argument("--cache-path", default=None, help="critical-value cache file")
+    p.add_argument("--reps-inner", type=int, default=None, help="sets BOTH the draws per "
+                   "critical-value replicate and the trials per power estimate")
+    p.add_argument("--reps-outer", type=int, default=None, help="sets BOTH the critical-value "
+                   "replicates and the power validation runs")
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--cache-path", default=None, help="critical-value cache file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,12 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="regenerate one of the seven standard tables")
     p.add_argument("--which", type=int, choices=range(1, 8), required=True)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--reps-inner", type=int, default=None)
-    p.add_argument("--reps-outer", type=int, default=None)
-    p.add_argument("--format", choices=["csv", "markdown", "json"], default="csv")
-    p.add_argument("--cache-path", default=None)
+    _add_common(p, formats=("csv", "markdown", "json"))
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("cache", help="inspect or clear the critical-value cache")
@@ -383,10 +372,7 @@ def main(argv: list[str] | None = None, power_rows: dict | None = None) -> int:
     args.power_rows = power_rows
     try:
         return args.func(args)
-    except UsageError as exc:
-        _echo(f"error: {exc}")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         _echo(f"error: {exc}")
         return EXIT_USAGE
     except (powersim.SearchFailureError, NonConvergenceError) as exc:

@@ -96,19 +96,13 @@ def critical_values_mc_multi(
         draws.sort()
         for i, alpha in enumerate(alphas):
             roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
-    out = []
-    for i, alpha in enumerate(alphas):
-        sd = float(np.std(roots[i], ddof=1)) if plan.reps_outer > 1 else 0.0
-        out.append(
-            CriticalValueEstimate(
-                n=n,
-                alpha=alpha,
-                value=float(np.mean(roots[i])),
-                sd=sd,
-                method=EXACT_MC,
-            )
+    return [
+        CriticalValueEstimate(
+            n=n, alpha=alpha, value=float(np.mean(row)),
+            sd=float(np.std(row, ddof=1)) if plan.reps_outer > 1 else 0.0, method=EXACT_MC,
         )
-    return out
+        for alpha, row in zip(alphas, roots)
+    ]
 
 
 def critical_value_mc(n: int, alpha: float, plan: SimPlan) -> CriticalValueEstimate:
@@ -160,33 +154,46 @@ class CriticalValueCache:
 
     Corrupted lines are skipped on load; a recomputed record for an existing
     key is appended and the latest record wins, which gives overwrite
-    semantics without rewriting the file. I/O failures degrade to
+    semantics without rewriting the file. An instance parses the file once
+    and again only when its (st_mtime_ns, st_size) changes, so it sees lines
+    other instances append and a cleared file. I/O failures degrade to
     recomputation with a warning rather than aborting the caller.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
+        self._stamp: tuple | None = None  # (st_mtime_ns, st_size) of the parsed file
+        self._records: dict = {}
 
     @staticmethod
     def _key(n: int, alpha: float, plan: SimPlan) -> tuple:
         return (n, repr(float(alpha)), plan.reps_inner, plan.reps_outer, plan.master_seed)
 
+    def _stat(self) -> tuple | None:
+        try:
+            st = self.path.stat()
+        except FileNotFoundError:
+            return None
+        return (st.st_mtime_ns, st.st_size)
+
     def _load(self) -> dict:
+        """Records by key; the file is parsed again only when its stamp changes."""
+        stamp = self._stat()
+        if stamp != self._stamp:
+            self._records = {} if stamp is None else self._parse(self.path.read_text())
+            self._stamp = stamp
+        return self._records
+
+    @staticmethod
+    def _parse(text: str) -> dict:
         records: dict = {}
-        if not self.path.exists():
-            return records
-        for line in self.path.read_text().splitlines():
+        for line in text.splitlines():
             parts = line.split()
             if len(parts) != 7:
                 continue
             try:
-                n = int(parts[0])
-                alpha = float(parts[1])
-                inner = int(parts[2])
-                outer = int(parts[3])
-                seed = int(parts[4])
-                value = float(parts[5])
-                sd = float(parts[6])
+                n, inner, outer, seed = (int(parts[i]) for i in (0, 2, 3, 4))
+                alpha, value, sd = (float(parts[i]) for i in (1, 5, 6))
             except ValueError:
                 continue
             if not (value > 0.0 and sd >= 0.0 and 0.0 < alpha < 1.0):
@@ -210,9 +217,13 @@ class CriticalValueCache:
             f"{plan.master_seed} {est.value!r} {est.sd!r}\n"
         )
         try:
+            fresh = self._stat() == self._stamp  # no other writer since the parse
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:
                 fh.write(line)
+            if fresh:
+                self._records[self._key(est.n, est.alpha, plan)] = (est.value, est.sd)
+                self._stamp = self._stat()
         except OSError as exc:
             warnings.warn(f"critical-value cache unwritable ({exc}); result not persisted")
 

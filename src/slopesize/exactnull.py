@@ -83,7 +83,10 @@ def t2_null_draws(key: StreamKey, n: int, size: int) -> np.ndarray:
     w2 = chisq_array(key.with_stream(_W2), n - 1, size)
     w3 = chisq_array(key.with_stream(_W3), n - 2, size)
     w4 = chisq_array(key.with_stream(_W4), n - 1, size)
-    return (n - 2) / (n - 1) * w1 * w4 / (w2 * w3)
+    w1 *= (n - 2) / (n - 1)
+    w1 *= w4
+    w1 /= np.multiply(w2, w3, out=w2)  # (n-2)/(n-1) * w1 * w4 / (w2 * w3)
+    return w1
 
 
 def sample_t2_null(key: StreamKey, n: int) -> float:

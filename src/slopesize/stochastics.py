@@ -26,6 +26,10 @@ every routine without collisions between subsystems):
 
 Validation runs in the sample-size search shift task ids by
 VALIDATION_TASK_BASE so they are independent of the search probes.
+
+A chi-square stream is read in Marsaglia-Tsang rejection passes: each pass
+draws m normals, then m uniforms, for its m pending candidates in index
+order, and a candidate with 1 + c*z <= 0 is rejected (see _gamma_mt).
 """
 
 from __future__ import annotations
@@ -140,32 +144,42 @@ def normal_array(key: StreamKey, size: int) -> np.ndarray:
 
 
 def _gamma_mt(gen: Generator, shape: float, size: int) -> np.ndarray:
-    """Gamma(shape, 1) via the Marsaglia-Tsang squeeze, vectorized.
+    """Gamma(shape, 1) by Marsaglia-Tsang rejection, one in-place pass per round.
 
-    Shapes below one are boosted through Gamma(shape + 1) * U^(1/shape).
-    Draw order within the stream is fixed (normals then uniforms per pass),
-    so output is deterministic for a given generator state.
+    Shapes below one are boosted through Gamma(shape + 1) * U^(1/shape), the
+    size uniforms drawn after the boosted gammas. Each pass draws m normals z,
+    then m uniforms u, for the m pending candidates in index order, and
+    accepts d*v, v = (1 + c*z)^3, iff log u < 0.5*z^2 + d - d*v + d*log v;
+    v <= 0 gives log v nan or -inf, so the test fails and v is rejected.
     """
     if shape < 1.0:
         boosted = _gamma_mt(gen, shape + 1.0, size)
-        u = gen.random(size)
-        return boosted * u ** (1.0 / shape)
+        boosted *= gen.random(size) ** (1.0 / shape)
+        return boosted
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     out = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        z = gen.standard_normal(pending.size)
-        u = gen.random(pending.size)
-        v = (1.0 + c * z) ** 3
-        pos = v > 0.0
-        accept = pos.copy()
-        logv = np.log(v, out=np.zeros_like(v), where=pos)
-        accept[pos] = np.log(u[pos]) < (
-            0.5 * z[pos] ** 2 + d - d * v[pos] + d * logv[pos]
-        )
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
+    zs, us, vs, bs = (np.empty(size) for _ in range(4))  # work buffers
+    oks = np.empty(size, dtype=bool)
+    pending = None  # the first pass covers every index and writes d*v into out
+    m = size
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while m:
+            z, u, v, bound, ok = zs[:m], us[:m], vs[:m], bs[:m], oks[:m]
+            gen.standard_normal(out=z)
+            gen.random(out=u)
+            np.power(np.add(1.0, np.multiply(c, z, out=v), out=v), 3, out=v)
+            np.add(np.multiply(0.5, np.multiply(z, z, out=bound), out=bound), d, out=bound)
+            logv = np.log(v, out=z)
+            bound -= np.multiply(d, v, out=out if pending is None else v)
+            bound += np.multiply(d, logv, out=logv)
+            np.less(np.log(u, out=u), bound, out=ok)
+            if pending is None:
+                pending = np.flatnonzero(~ok)
+            else:
+                out[pending[ok]] = v[ok]
+                pending = pending[~ok]
+            m = pending.size
     return out
 
 
@@ -173,7 +187,8 @@ def chisq_array(key: StreamKey, df: int, size: int) -> np.ndarray:
     """Vector of chi-square draws with df degrees of freedom."""
     if df != int(df) or df < 1:
         raise ValueError(f"df must be an integer >= 1, got {df!r}")
-    return 2.0 * _gamma_mt(generator(key), 0.5 * int(df), size)
+    out = _gamma_mt(generator(key), 0.5 * int(df), size)
+    return np.multiply(2.0, out, out=out)
 
 
 def sample_chisq(key: StreamKey, df: int) -> float:

@@ -16,6 +16,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestPlans:
+    """--fast picks the preset; --reps-inner / --reps-outer each set both plans."""
+
+    @pytest.mark.parametrize("command", [
+        ["critval", "--n", "30", "--alpha", "0.05"],
+        ["table", "--which", "2"],
+    ])
+    @pytest.mark.parametrize("flags, cv, pw", [
+        ([], (10_000, 1_000), (1_000, 1_000)),
+        (["--fast"], (1_000, 50), (1_000, 50)),
+        (["--reps-inner", "2000"], (2_000, 1_000), (2_000, 1_000)),
+        (["--reps-outer", "7"], (10_000, 7), (1_000, 7)),
+        (["--fast", "--reps-inner", "300", "--reps-outer", "9"], (300, 9), (300, 9)),
+    ])
+    def test_plans(self, capsys, command, flags, cv, pw):
+        args = cli.build_parser().parse_args([*command, "--seed", "5", *flags])
+        seed, cv_plan, pw_plan = cli._plans(args)
+        assert seed == cv_plan.master_seed == pw_plan.master_seed == 5
+        assert (cv_plan.reps_inner, cv_plan.reps_outer) == cv
+        assert (pw_plan.reps_inner, pw_plan.reps_outer) == pw
+        assert capsys.readouterr().err == "seed: 5\n"
+
+    def test_help_says_overrides_set_both_plans(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["power", "--help"])
+        assert capsys.readouterr().out.count("sets BOTH") == 2
+
+
 class TestCritval:
     def test_normal_method_published_value(self, capsys):
         code, out, err = run_cli(

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from slopesize import cli
 from slopesize.critvals import (
     EXACT_MC,
     NORMAL_APPROX,
@@ -195,6 +196,50 @@ class TestCache:
         est = cached_critical_value(20, 0.05, PLAN, cache)
         assert est == critical_value_mc(20, 0.05, PLAN)
         assert cache.lookup(20, 0.05, PLAN) == est
+
+    def test_line_appended_by_another_instance_is_seen(self, tmp_path):
+        path = tmp_path / "cv.txt"
+        reader, writer = CriticalValueCache(path), CriticalValueCache(path)
+        first = cached_critical_value(20, 0.05, PLAN, writer)
+        assert reader.lookup(20, 0.05, PLAN) == first
+        assert reader.lookup(20, 0.10, PLAN) is None
+        second = cached_critical_value(20, 0.10, PLAN, writer)
+        assert reader.lookup(20, 0.10, PLAN) == second
+
+    def test_store_keeps_the_parse_current(self, tmp_path, monkeypatch):
+        path = tmp_path / "cv.txt"
+        cache = CriticalValueCache(path)
+        est = critical_value_mc(20, 0.05, PLAN)
+        assert cache.lookup(20, 0.05, PLAN) is None
+        cache.store(est, PLAN)
+        parses = []
+        real = CriticalValueCache._parse
+        monkeypatch.setattr(
+            CriticalValueCache, "_parse", staticmethod(lambda text: parses.append(1) or real(text))
+        )
+        assert cache.lookup(20, 0.05, PLAN) == est
+        assert cache.lookup(20, 0.05, PLAN) == est
+        assert parses == []
+
+    def test_corrupt_line_is_skipped_after_a_parse(self, tmp_path):
+        path = tmp_path / "cv.txt"
+        cache = CriticalValueCache(path)
+        est = critical_value_mc(20, 0.05, PLAN)
+        cache.store(est, PLAN)
+        assert cache.lookup(20, 0.05, PLAN) == est
+        with path.open("a") as fh:
+            fh.write("20 0.10 10000 100 20260808 not-a-number 0.01\n")
+            fh.write("20 0.10 10000 100\n")
+        assert cache.lookup(20, 0.10, PLAN) is None
+        assert cache.lookup(20, 0.05, PLAN) == est
+
+    def test_cache_clear_causes_a_miss(self, tmp_path, capsys):
+        path = tmp_path / "cv.txt"
+        cache = CriticalValueCache(path)
+        est = cached_critical_value(20, 0.05, PLAN, cache)
+        assert cache.lookup(20, 0.05, PLAN) == est
+        assert cli.main(["cache", "clear", "--cache-path", str(path)]) == 0
+        assert cache.lookup(20, 0.05, PLAN) is None
 
     def test_no_cache_object_computes(self):
         est = cached_critical_value(20, 0.10, PLAN, None)

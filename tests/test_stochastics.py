@@ -1,5 +1,6 @@
 """Keyed streams, chi-square generation, and the empirical quantile rule."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from slopesize.critvals import critical_value_mc
+from slopesize.exactnull import t2_null_draws
 from slopesize.stochastics import (
     SimPlan,
     StreamKey,
@@ -172,3 +175,48 @@ class TestGeneratorContract:
         g1.standard_normal(10)
         g2 = generator(key)
         assert np.array_equal(g2.standard_normal(3), normal_array(key, 3))
+
+
+def _sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+class TestSamplerBits:
+    """Seeded sampler output, byte for byte.
+
+    Captured before the rejection pass was fused into in-place work buffers;
+    every cached critical value depends on these bytes. df 1 takes the
+    shape < 1 boost, df 2 is shape 1, where v <= 0 occurs and several passes
+    run.
+    """
+
+    @pytest.mark.parametrize(
+        "task, df, digest",
+        [
+            (0, 1, "63e69d9cf7018d9f4cb393cc99615e199e7561a02dc7baba0b13b99506e3fa36"),
+            (1, 2, "de90ed5497fe0a9bfb94442d78b88dc35076009eeea307326887fa15f8617fc7"),
+            (2, 3, "449b809bd335c19b42aebaf102849cc37c9ebb0101819c0653b5b4e22dc33e0c"),
+            (3, 29, "60f33ece35c24c28047d4fcec7bc14e1a40f23c779e825647745a5d11cf68cba"),
+            (4, 2400, "4e345335f4d6e6682ae13827e49e6c9a5063ff3f710b1a6ad75bb5c129978d4e"),
+        ],
+    )
+    def test_chisq_array(self, task, df, digest):
+        assert _sha256(chisq_array(StreamKey(SEED, task, 0), df, 100_000)) == digest
+
+    def test_t2_null_draws(self):
+        assert _sha256(t2_null_draws(StreamKey(SEED, 7), 30, 10_000)) == (
+            "3be11bf28ad21306f604924a9b04020071f670a531217e62236b5ad738c55a4f"
+        )
+
+    def test_critical_value_mc(self):
+        est = critical_value_mc(30, 0.05, SimPlan(10_000, 20, SEED))
+        assert est.value.hex() == "0x1.980f4c6b1188cp-2"
+        assert est.sd.hex() == "0x1.34414da5cc4cdp-8"
+
+    def test_v_nonpositive_is_rejected(self):
+        # shape 1 (df 2): c = 1/sqrt(6), so z < -sqrt(6) gives v <= 0; such
+        # a key must still yield only positive, finite draws
+        first_pass = generator(StreamKey(SEED, 1, 0)).standard_normal(100_000)
+        assert first_pass.min() < -math.sqrt(6.0)
+        draws = chisq_array(StreamKey(SEED, 1, 0), 2, 100_000)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
