@@ -20,14 +20,15 @@ of the two commands is recorded, and the script fails if the sides print
 different bytes: the change must leave seeded output as it was.
 
 Usage:
-    python scripts/bench_critval.py --baseline OLD/src [--pairs 3]
+    python scripts/bench_critval.py --baseline OLD/src
     python scripts/bench_critval.py --quick --out /tmp/bench.json
 
 --baseline is the src directory of a checkout of the commit to compare
 against (for example `git clone . /tmp/parent && git -C /tmp/parent
-checkout HEAD~1`); without it only the current tree is measured. --quick
-shrinks every size so that the whole run takes a few seconds; its figures
-only show that the harness works.
+checkout HEAD~1`); without it only the current tree is measured. Each side
+is measured in PAIRS processes. --quick shrinks every size and runs one pair,
+so that the whole run takes a few seconds; its figures only show that the
+harness works.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ CRITVAL_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", 
 SEARCH_ARGV = ["samplesize", "--route", "slope", "--lambda", "0.5", "--alpha", "0.05",
                "--power", "0.90", "--seed", "1"]
 TIMES = ("critval_request_s", "search_cell_s", "search_critval_s")
+PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
 FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": []}
 QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
@@ -184,7 +186,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, default=None,
                         help="src directory of the commit to compare against")
-    parser.add_argument("--pairs", type=int, default=3, help="measuring processes per side")
     parser.add_argument("--quick", action="store_true", help="tiny sizes; checks the harness only")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON file to write")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
@@ -193,18 +194,17 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(measure(sizes)))
         return 0
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     sides = {"after": ROOT / "src"}
     if args.baseline is not None:
         sides = {"before": args.baseline.resolve(), **sides}
     runs: dict = {name: [] for name in sides}
-    for pair in range(args.pairs):
+    pairs = 1 if args.quick else PAIRS
+    for pair in range(pairs):
         order = list(sides) if pair % 2 == 0 else list(reversed(sides))
         for name in order:
             runs[name].append(_child(sides[name], args.quick))
-            print(f"pair {pair + 1}/{args.pairs} {name}: "
+            print(f"pair {pair + 1}/{pairs} {name}: "
                   f"critval {runs[name][-1]['critval_request_s']} s", file=sys.stderr)
 
     outputs = {name: [r.pop("stdout") for r in side] for name, side in runs.items()}

@@ -96,13 +96,19 @@ def critical_values_mc_multi(
         draws.sort()
         for i, alpha in enumerate(alphas):
             roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
-    return [
-        CriticalValueEstimate(
-            n=n, alpha=alpha, value=float(np.mean(row)),
-            sd=float(np.std(row, ddof=1)) if plan.reps_outer > 1 else 0.0, method=EXACT_MC,
+    out = []
+    for i, alpha in enumerate(alphas):
+        sd = float(np.std(roots[i], ddof=1)) if plan.reps_outer > 1 else 0.0
+        out.append(
+            CriticalValueEstimate(
+                n=n,
+                alpha=alpha,
+                value=float(np.mean(roots[i])),
+                sd=sd,
+                method=EXACT_MC,
+            )
         )
-        for alpha, row in zip(alphas, roots)
-    ]
+    return out
 
 
 def critical_value_mc(n: int, alpha: float, plan: SimPlan) -> CriticalValueEstimate:
@@ -162,43 +168,42 @@ class CriticalValueCache:
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        self._stamp: tuple | None = None  # (st_mtime_ns, st_size) of the parsed file
+        self._stamp = None  # (st_mtime_ns, st_size) of the file when last parsed
         self._records: dict = {}
 
     @staticmethod
     def _key(n: int, alpha: float, plan: SimPlan) -> tuple:
         return (n, repr(float(alpha)), plan.reps_inner, plan.reps_outer, plan.master_seed)
 
-    def _stat(self) -> tuple | None:
+    def _load(self) -> dict:
         try:
             st = self.path.stat()
+            stamp = (st.st_mtime_ns, st.st_size)
         except FileNotFoundError:
-            return None
-        return (st.st_mtime_ns, st.st_size)
-
-    def _load(self) -> dict:
-        """Records by key; the file is parsed again only when its stamp changes."""
-        stamp = self._stat()
-        if stamp != self._stamp:
-            self._records = {} if stamp is None else self._parse(self.path.read_text())
-            self._stamp = stamp
-        return self._records
-
-    @staticmethod
-    def _parse(text: str) -> dict:
+            stamp = None
+        if stamp == self._stamp:
+            return self._records
         records: dict = {}
+        text = "" if stamp is None else self.path.read_text()
         for line in text.splitlines():
             parts = line.split()
             if len(parts) != 7:
                 continue
             try:
-                n, inner, outer, seed = (int(parts[i]) for i in (0, 2, 3, 4))
-                alpha, value, sd = (float(parts[i]) for i in (1, 5, 6))
+                n = int(parts[0])
+                alpha = float(parts[1])
+                inner = int(parts[2])
+                outer = int(parts[3])
+                seed = int(parts[4])
+                value = float(parts[5])
+                sd = float(parts[6])
             except ValueError:
                 continue
             if not (value > 0.0 and sd >= 0.0 and 0.0 < alpha < 1.0):
                 continue
             records[(n, repr(alpha), inner, outer, seed)] = (value, sd)
+        self._stamp = stamp
+        self._records = records
         return records
 
     def lookup(self, n: int, alpha: float, plan: SimPlan) -> CriticalValueEstimate | None:
@@ -217,13 +222,9 @@ class CriticalValueCache:
             f"{plan.master_seed} {est.value!r} {est.sd!r}\n"
         )
         try:
-            fresh = self._stat() == self._stamp  # no other writer since the parse
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:
                 fh.write(line)
-            if fresh:
-                self._records[self._key(est.n, est.alpha, plan)] = (est.value, est.sd)
-                self._stamp = self._stat()
         except OSError as exc:
             warnings.warn(f"critical-value cache unwritable ({exc}); result not persisted")
 

@@ -11,7 +11,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_critval.py"
 def test_quick_run_writes_every_key(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run(
-        [sys.executable, str(SCRIPT), "--quick", "--pairs", "1", "--out", str(out)],
+        [sys.executable, str(SCRIPT), "--quick", "--out", str(out)],
         check=True, capture_output=True, timeout=60,
     )
     report = json.loads(out.read_text())

@@ -19,6 +19,7 @@ from slopesize.critvals import (
     NORMAL_APPROX,
     TABLE1_COLUMNS,
     CriticalValueCache,
+    CriticalValueEstimate,
     cached_critical_value,
     critical_value_mc,
     critical_value_normal,
@@ -139,6 +140,10 @@ class TestTable1:
             table1([4], PLAN)
 
 
+# a stored record; the cache keeps whatever value and sd it is given
+ESTIMATE = CriticalValueEstimate(n=20, alpha=0.05, value=0.5, sd=0.01, method=EXACT_MC)
+
+
 class TestCache:
     def test_hit_is_bit_identical(self, tmp_path):
         cache = CriticalValueCache(tmp_path / "cv.txt")
@@ -206,20 +211,27 @@ class TestCache:
         second = cached_critical_value(20, 0.10, PLAN, writer)
         assert reader.lookup(20, 0.10, PLAN) == second
 
-    def test_store_keeps_the_parse_current(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("between", ["append", "clear"])
+    def test_store_after_another_writer_serves_the_file(self, tmp_path, between):
         path = tmp_path / "cv.txt"
-        cache = CriticalValueCache(path)
-        est = critical_value_mc(20, 0.05, PLAN)
-        assert cache.lookup(20, 0.05, PLAN) is None
-        cache.store(est, PLAN)
-        parses = []
-        real = CriticalValueCache._parse
-        monkeypatch.setattr(
-            CriticalValueCache, "_parse", staticmethod(lambda text: parses.append(1) or real(text))
+        cache, other = CriticalValueCache(path), CriticalValueCache(path)
+        old, theirs, mine = (
+            dataclasses.replace(ESTIMATE, alpha=alpha) for alpha in (0.05, 0.10, 0.01)
         )
-        assert cache.lookup(20, 0.05, PLAN) == est
-        assert cache.lookup(20, 0.05, PLAN) == est
-        assert parses == []
+        cache.store(old, PLAN)
+        assert cache.lookup(20, 0.05, PLAN) == old
+        if between == "append":
+            other.store(theirs, PLAN)
+        else:
+            assert cli.main(["cache", "clear", "--cache-path", str(path)]) == 0
+        cache.store(mine, PLAN)
+        assert cache.lookup(20, 0.01, PLAN) == mine
+        if between == "append":
+            assert cache.lookup(20, 0.10, PLAN) == theirs
+            assert cache.lookup(20, 0.05, PLAN) == old
+        else:
+            assert cache.lookup(20, 0.10, PLAN) is None
+            assert cache.lookup(20, 0.05, PLAN) is None
 
     def test_corrupt_line_is_skipped_after_a_parse(self, tmp_path):
         path = tmp_path / "cv.txt"
