@@ -150,12 +150,12 @@ def find_sample_size_corr(
         raise ValueError(f"target power must lie inside (0, 1), got {target!r}")
     lo, hi = 3, 4
     while corr_power_approx(hi, rho, alpha) < target:
-        lo = hi
-        hi *= 2
-        if hi > n_ceiling:
+        if hi >= n_ceiling:
             raise SearchFailureError(
                 f"no n <= {n_ceiling} reaches power {target} at rho={rho}, alpha={alpha}"
             )
+        lo = hi
+        hi = min(2 * hi, n_ceiling)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if mid < 4:

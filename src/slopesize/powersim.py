@@ -12,17 +12,18 @@ free: the draws at a smaller n are the first rows of the draws at a larger
 n, and the moments are merged block by block so that the t values cut at a
 smaller n are bit-identical to a run drawn at that n.
 
-The sample-size search brackets by doubling, bisects on probe estimates,
-then settles on the smallest n whose validated mean power clears the target
-minus a slack band (half the binomial noise of one power estimate, at most
-0.005). Validation replays the estimate across plan.reps_outer independent
-runs of plan.reps_inner trials each, keyed disjointly from the search
-probes. Run v has the same task keys at every n, so a search simulates each
+The sample-size search starts at the correlation route's deterministic
+Fisher-z sample size, which needs no simulation, and settles on the smallest
+n whose validated mean power clears the target minus a slack band (half the
+binomial noise of one power estimate, at most 0.005). Validation replays the
+estimate across plan.reps_outer independent runs of plan.reps_inner trials
+each. Run v has the same task keys at every n, so a search simulates each
 run at each n at most once: run powers are memoized per n, and a full
 validation extends its scout instead of repeating it. A scout that starts a
 fresh n also takes, from the same draws, the runs' t values at the few sizes
 just below n that the refinement steps to next (see _SCOUT_WINDOW), and
-scores them when the search first asks for one of those sizes.
+scores them when the search first asks for one of those sizes. Critical
+values are computed only at the sizes the search validates.
 """
 
 from __future__ import annotations
@@ -370,7 +371,7 @@ class _Validation:
 
 
 class _SlopeSearch:
-    """State shared across one sample-size search (probes, validations, cache)."""
+    """State shared across one sample-size search (validations, critical values)."""
 
     def __init__(
         self,
@@ -380,7 +381,6 @@ class _SlopeSearch:
         plan: SimPlan,
         cache: CriticalValueCache | None,
         critval_plan: SimPlan,
-        n_ceiling: int,
     ) -> None:
         self.lam = lam
         self.alpha = alpha
@@ -388,7 +388,6 @@ class _SlopeSearch:
         self.plan = plan
         self.cache = cache
         self.critval_plan = critval_plan
-        self.n_ceiling = n_ceiling
         self.threshold = target - _search_slack(target, plan.reps_inner)
         self.scout_runs = min(50, plan.reps_outer)
         self.diagnostics = SimDiagnostics()
@@ -406,19 +405,6 @@ class _SlopeSearch:
                 n, self.alpha, self.critval_plan, self.cache
             )
         return self._critvals[n]
-
-    def probe(self, n: int) -> float:
-        est = simulate_power_slope(
-            n,
-            self.lam,
-            self.alpha,
-            self.critval(n),
-            self.plan.reps_inner,
-            self.plan.master_seed,
-            task_base=0,
-            diagnostics=self.diagnostics,
-        )
-        return est.power
 
     def validate(self, n: int, runs: int, window=()) -> _Validation:
         """Mean and sd of the first `runs` validation runs at n.
@@ -478,7 +464,7 @@ class _SlopeSearch:
 
 
 def _refine_validated(search: "_SlopeSearch", start: int, n_ceiling: int) -> int:
-    """Smallest n clearing the validated threshold, near the probe answer.
+    """Smallest n clearing the validated threshold, searched outward from start.
 
     Brackets with geometrically growing steps, then bisects; the power curve
     can be nearly flat around high targets, so stepping one n at a time
@@ -531,13 +517,14 @@ def find_sample_size_slope(
 ) -> SampleSizeResult:
     """Smallest n whose validated mean power clears target minus the slack band.
 
-    Brackets by doubling from n = 5 using probe estimates of plan.reps_inner
-    trials under common random numbers, bisects, then refines under the
-    validated-mean rule (bracket and bisect again, on validations). The
-    returned mean and sd come from a full validation (plan.reps_outer
-    independent runs) at the final n. Critical values are exact-MC by
-    default, served through the cache; pass critval_plan to control their
-    replication counts.
+    Starts at the correlation route's Fisher-z sample size (no simulation)
+    and refines under the validated-mean rule: brackets outward from it with
+    growing steps, then bisects, on validations. The returned mean and sd
+    come from a full validation (plan.reps_outer independent runs) at the
+    final n. Critical values are exact-MC by default, served through the
+    cache; pass critval_plan to control their replication counts. Raises
+    SearchFailureError, before any simulation, when the Fisher-z sample size
+    exceeds n_ceiling.
     """
     if lam == 0.0:
         raise ValueError("effect size must be nonzero")
@@ -545,24 +532,20 @@ def find_sample_size_slope(
         raise ValueError(f"target power must lie inside (0, 1), got {target!r}")
     if critval_plan is None:
         critval_plan = SimPlan(reps_inner=10_000, reps_outer=200, master_seed=plan.master_seed)
-    search = _SlopeSearch(lam, alpha, target, plan, cache, critval_plan, n_ceiling)
+    # imported here: corroute imports the replicate kernel from this module
+    from .corroute import find_sample_size_corr, lambda_to_rho
 
-    lo, hi = 4, 5
-    while search.probe(hi) < target:
-        lo = hi
-        hi *= 2
-        if hi > n_ceiling:
-            raise SearchFailureError(
-                f"no n <= {n_ceiling} reached probe power {target} at lam={lam}, alpha={alpha}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if search.probe(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-
-    cand = _refine_validated(search, max(hi, 5), n_ceiling)
+    # the correlation power is even in rho, which rounds to 1 for |lam| above ~1e8
+    rho = min(abs(lambda_to_rho(lam)), math.nextafter(1.0, 0.0))
+    try:
+        start = find_sample_size_corr(rho, alpha, target, plan, n_ceiling=n_ceiling).n
+    except SearchFailureError:
+        raise SearchFailureError(
+            f"the correlation route needs more than n_ceiling={n_ceiling} observations"
+            f" for power {target} at lam={lam}, alpha={alpha}"
+        ) from None
+    search = _SlopeSearch(lam, alpha, target, plan, cache, critval_plan)
+    cand = _refine_validated(search, start, n_ceiling)
     final = search.full_validate(cand)
     # a scout can (rarely) pass a candidate the full validation rejects
     while final.mean < search.threshold:

@@ -25,7 +25,9 @@ every routine without collisions between subsystems):
     203+2k    second factor of retry k of a degenerate correlation replicate
 
 Validation runs in the sample-size search shift task ids by
-VALIDATION_TASK_BASE so they are independent of the search probes.
+VALIDATION_TASK_BASE. This separates them from simulate_power_slope runs at
+task 0, and it keeps the validation draws, hence seeded search results, as
+they were when the search also ran probe estimates at task 0.
 
 A chi-square stream is read in Marsaglia-Tsang rejection passes: each pass
 draws m normals, then m uniforms, for its m pending candidates in index
@@ -55,7 +57,7 @@ __all__ = [
 _U64 = 2**64
 _U32 = 2**32
 
-# offset separating validation replicates from search-probe replicates
+# task offset of the search's validation runs (see the module docstring)
 VALIDATION_TASK_BASE = 1 << 40
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from slopesize import powersim
@@ -6,6 +7,17 @@ from slopesize.critvals import CriticalValueCache
 # one fixed seed for the whole suite so every Monte Carlo check is a
 # deterministic rerun of the same draws
 SUITE_SEED = 20260808
+
+
+def row_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_XX, S_XY, S_YY) of each row of x and y, one sample per row."""
+    dx = x - x.mean(axis=1, keepdims=True)
+    dy = y - y.mean(axis=1, keepdims=True)
+    return (
+        np.einsum("ij,ij->i", dx, dx),
+        np.einsum("ij,ij->i", dx, dy),
+        np.einsum("ij,ij->i", dy, dy),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,8 @@ from slopesize.powersim import (
 )
 from slopesize.stochastics import SimPlan, StreamKey
 
+from conftest import row_moments
+
 SEED = 20260808
 
 # full-fidelity plan for critical values (criteria 2-4)
@@ -254,11 +256,7 @@ def test_criterion_09_distributional_pipeline():
     rng = np.random.default_rng(SEED)
     x = rng.standard_normal((reps, n))
     y = rng.standard_normal((reps, n))
-    dx = x - x.mean(axis=1, keepdims=True)
-    dy = y - y.mean(axis=1, keepdims=True)
-    sxx = np.einsum("ij,ij->i", dx, dx)
-    sxy = np.einsum("ij,ij->i", dx, dy)
-    syy = np.einsum("ij,ij->i", dy, dy)
+    sxx, sxy, syy = row_moments(x, y)
     pivot = np.sqrt(n - 1) * (sxy / sxx)
     p_pivot = stats.kstest(pivot, stats.t(n - 1).cdf).pvalue
 
@@ -316,11 +314,7 @@ def test_criterion_11_effect_size_sufficiency(session_cache):
             b = min(20_000, reps - done)
             x = mu_x + sigma_x * rng.standard_normal((b, n))
             y = beta0 + beta1 * x + sigma_eps * rng.standard_normal((b, n))
-            dx = x - x.mean(axis=1, keepdims=True)
-            dy = y - y.mean(axis=1, keepdims=True)
-            sxx = np.einsum("ij,ij->i", dx, dx)
-            sxy = np.einsum("ij,ij->i", dx, dy)
-            syy = np.einsum("ij,ij->i", dy, dy)
+            sxx, sxy, syy = row_moments(x, y)
             rss = syy - sxy**2 / sxx
             t = (sxy / sxx) * np.sqrt(sxx / (n - 1)) / np.sqrt(rss / (n - 2))
             hits += int(np.count_nonzero(np.abs(t) > c_value))

@@ -205,6 +205,17 @@ class TestSampleSize:
         assert code == 3
         assert "no n found" in err
 
+    def test_unreachable_slope_target_fails_without_simulating(self, capsys):
+        # the Fisher-z start (about 1.8e7) is past the default ceiling of 1e6
+        code, out, err = run_cli(
+            capsys, "samplesize", "--route", "slope", "--lambda", "0.001",
+            "--alpha", "0.05", "--power", "0.99", "--fast", "--seed", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "n_ceiling=1000000" in err
+        assert "lam=0.001, alpha=0.05" in err
+
 
 class TestTable:
     def test_table1_header_and_shape(self, capsys, tmp_path, monkeypatch):

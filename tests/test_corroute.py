@@ -18,7 +18,7 @@ from slopesize.corroute import (
     rho_lambda_curve,
     rho_to_lambda,
 )
-from slopesize.powersim import SimDiagnostics, fit_slope_stats
+from slopesize.powersim import SearchFailureError, SimDiagnostics, fit_slope_stats
 from slopesize.stochastics import SimPlan, StreamKey, generator, normal_array
 
 SEED = 20260808
@@ -205,6 +205,15 @@ class TestFindSampleSizeCorr:
     def test_rejects_zero_rho(self):
         with pytest.raises(ValueError):
             find_sample_size_corr(0.0, 0.05, 0.8, SimPlan(master_seed=SEED))
+
+    def test_ceiling_is_the_largest_n_allowed(self):
+        # the doubling bracket stops at the ceiling instead of passing it, so
+        # an answer between the last power of two and the ceiling is found
+        plan = SimPlan(master_seed=SEED)
+        n = find_sample_size_corr(0.0995, 0.10, 0.80, plan).n
+        assert find_sample_size_corr(0.0995, 0.10, 0.80, plan, n_ceiling=n).n == n
+        with pytest.raises(SearchFailureError, match=f"no n <= {n - 1} "):
+            find_sample_size_corr(0.0995, 0.10, 0.80, plan, n_ceiling=n - 1)
 
 
 class TestContrastTable:

@@ -19,6 +19,8 @@ from slopesize.exactnull import (
 )
 from slopesize.stochastics import StreamKey
 
+from conftest import row_moments
+
 SEED = 20260808
 PARAMS = ModelParams(beta0=0.0, beta1=0.0, mu_x=0.0, sigma_x=1.0, sigma_eps=1.0)
 
@@ -36,11 +38,8 @@ def simulate_beta1hat(n: int, reps: int, params: ModelParams, seed: int) -> np.n
             + params.beta1 * x
             + params.sigma_eps * rng.standard_normal((b, n))
         )
-        dx = x - x.mean(axis=1, keepdims=True)
-        dy = y - y.mean(axis=1, keepdims=True)
-        out[done : done + b] = np.einsum("ij,ij->i", dx, dy) / np.einsum(
-            "ij,ij->i", dx, dx
-        )
+        sxx, sxy, _ = row_moments(x, y)
+        out[done : done + b] = sxy / sxx
         done += b
     return out
 
@@ -210,11 +209,7 @@ def test_pipeline_regression_t2_matches_ratio_law():
     rng = np.random.default_rng(SEED)
     x = rng.standard_normal((reps, n))
     y = rng.standard_normal((reps, n))
-    dx = x - x.mean(axis=1, keepdims=True)
-    dy = y - y.mean(axis=1, keepdims=True)
-    sxx = np.einsum("ij,ij->i", dx, dx)
-    sxy = np.einsum("ij,ij->i", dx, dy)
-    syy = np.einsum("ij,ij->i", dy, dy)
+    sxx, sxy, syy = row_moments(x, y)
     rss = syy - sxy**2 / sxx
     t2 = (sxy / sxx) ** 2 * (sxx / (n - 1)) / (rss / (n - 2))
     res = stats.ks_2samp(t2, t2_null_draws(StreamKey(SEED, 50), n, reps))

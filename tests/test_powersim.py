@@ -330,9 +330,8 @@ class TestFindSampleSize:
             return wrapper
 
         monkeypatch.setattr(powersim, "cached_critical_value", recording_lookup)
-        monkeypatch.setattr(powersim._SlopeSearch, "probe", asking(powersim._SlopeSearch.probe))
         monkeypatch.setattr(powersim._SlopeSearch, "passes", asking(powersim._SlopeSearch.passes))
-        # at this seed a scout draws the window size 26, which is never asked for
+        # at this seed a scout draws the window sizes 27 and 26, which are never asked for
         plan = SimPlan(500, 55, SEED)
         find_sample_size_slope(0.6, 0.10, 0.90, plan, critval_plan=SimPlan(1_000, 10, SEED))
         assert computed and set(computed) <= asked
@@ -358,15 +357,32 @@ class TestFindSampleSize:
         with pytest.raises(ValueError):
             find_sample_size_slope(0.5, 0.05, 1.2, SimPlan(master_seed=SEED))
 
-    def test_ceiling_failure(self, session_cache):
+    def test_ceiling_failure(self, session_cache, monkeypatch):
+        # the Fisher-z start (n = 7,358 here) already exceeds the ceiling, so
+        # the search fails before any critical value or simulated run
+        calls = collections.Counter()
+
+        def counting(name):
+            inner = getattr(powersim, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(powersim, name, wrapper)
+
+        counting("cached_critical_value")
+        counting("_slope_t_prefixes")
         plan = SimPlan(reps_inner=500, reps_outer=10, master_seed=SEED)
-        with pytest.raises(SearchFailureError):
+        with pytest.raises(SearchFailureError, match=r"n_ceiling=50 .*lam=0\.05, alpha=0\.05"):
             find_sample_size_slope(
                 0.05, 0.05, 0.99, plan,
                 cache=session_cache,
                 critval_plan=SimPlan(reps_inner=1_000, reps_outer=10, master_seed=SEED),
                 n_ceiling=50,
             )
+        assert calls["cached_critical_value"] == 0
+        assert calls["_slope_t_prefixes"] == 0
 
 
 class TestPowerTable:
