@@ -29,6 +29,9 @@ checkout HEAD~1`); without it only the current tree is measured. Each side
 is measured in PAIRS processes. --quick shrinks every size and runs one pair,
 so that the whole run takes a few seconds; its figures only show that the
 harness works.
+
+The process, alternation, stdout and machine helpers below are shared with
+scripts/bench_distmath.py.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
 
 # -- measuring process ------------------------------------------------------
 
-def _run_cli(cli, argv: list[str]) -> tuple[float, str]:
+def run_cli(cli, argv: list[str]) -> tuple[float, str]:
     """CPU seconds and stdout of one CLI command."""
     out = io.StringIO()
     start = time.process_time()
@@ -92,7 +95,7 @@ def measure(sizes: dict) -> dict:
             best = min(best, per_call * 1e6 * 10_000 / sizes["chisq_size"])
         chisq[str(df)] = round(best, 1)
 
-    critval_s, critval_out = _run_cli(cli, CRITVAL_ARGV + sizes["reps"])
+    critval_s, critval_out = run_cli(cli, CRITVAL_ARGV + sizes["reps"])
 
     spent = {"s": 0.0, "calls": 0}
     inner = powersim.cached_critical_value
@@ -107,7 +110,7 @@ def measure(sizes: dict) -> dict:
 
     powersim.cached_critical_value = timed
     try:
-        search_s, search_out = _run_cli(cli, SEARCH_ARGV + sizes["reps"])
+        search_s, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
     finally:
         powersim.cached_critical_value = inner
     return {
@@ -122,7 +125,7 @@ def measure(sizes: dict) -> dict:
 
 # -- comparing process ------------------------------------------------------
 
-def _git_commit(src: Path) -> str | None:
+def git_commit(src: Path) -> str | None:
     try:
         return subprocess.run(
             ["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -132,7 +135,7 @@ def _git_commit(src: Path) -> str | None:
         return None
 
 
-def _machine() -> dict:
+def machine() -> dict:
     model = platform.processor() or None
     try:
         with open("/proc/cpuinfo") as fh:
@@ -151,14 +154,50 @@ def _machine() -> dict:
             "numpy": numpy.__version__}
 
 
-def _child(src: Path, quick: bool) -> dict:
+def _child(script: Path, src: Path, quick: bool) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in ("SLOPESIZE_CACHE", "SLOPESIZE_SEED")}
     env["PYTHONPATH"] = str(src)
-    argv = [sys.executable, str(Path(__file__).resolve()), "--child"]
+    argv = [sys.executable, str(script), "--child"]
     if quick:
         argv.append("--quick")
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def compare(script: Path, baseline: Path | None, pairs: int, quick: bool):
+    """Run `script --child` on this tree's src and, given one, on baseline.
+
+    Each side runs once per pair in a fresh process, the sides alternating.
+    Returns the sides' src directories, each side's measurements, the stdout
+    of the last run and whether every run printed that same stdout; each
+    measurement's "stdout" key is taken out of it.
+    """
+    sides = {"after": ROOT / "src"}
+    if baseline is not None:
+        sides = {"before": baseline.resolve(), **sides}
+    runs: dict = {name: [] for name in sides}
+    for pair in range(pairs):
+        order = list(sides) if pair % 2 == 0 else list(reversed(sides))
+        for name in order:
+            runs[name].append(_child(script, sides[name], quick))
+            print(f"pair {pair + 1}/{pairs} {name} done", file=sys.stderr)
+    outputs = [r.pop("stdout") for side in runs.values() for r in side]
+    return sides, runs, outputs[-1], all(o == outputs[-1] for o in outputs)
+
+
+def finish(report: dict, sides: dict, runs: dict, median, change, out: Path) -> int:
+    """Add each side's runs and medians to report, write it and return the exit code."""
+    for name, src in sides.items():
+        report[name] = {"commit": git_commit(src), "runs": runs[name],
+                        "median": median(runs[name])}
+    if "before" in report:
+        report["change"] = change(report["before"]["median"], report["after"]["median"])
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    if not report["outputs_identical"]:
+        print("error: the sides printed different output", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _median(runs: list[dict]) -> dict:
@@ -195,21 +234,9 @@ def main(argv=None) -> int:
         print(json.dumps(measure(sizes)))
         return 0
 
-    sides = {"after": ROOT / "src"}
-    if args.baseline is not None:
-        sides = {"before": args.baseline.resolve(), **sides}
-    runs: dict = {name: [] for name in sides}
     pairs = 1 if args.quick else PAIRS
-    for pair in range(pairs):
-        order = list(sides) if pair % 2 == 0 else list(reversed(sides))
-        for name in order:
-            runs[name].append(_child(sides[name], args.quick))
-            print(f"pair {pair + 1}/{pairs} {name}: "
-                  f"critval {runs[name][-1]['critval_request_s']} s", file=sys.stderr)
-
-    outputs = {name: [r.pop("stdout") for r in side] for name, side in runs.items()}
-    first = outputs["after"][0]
-    identical = all(o == first for side in outputs.values() for o in side)
+    sides, runs, first, identical = compare(
+        Path(__file__).resolve(), args.baseline, pairs, args.quick)
     report = {
         "benchmark": "exact-MC critical values: chi-square sampler, one critval request, "
                      "critical values inside one slope search",
@@ -219,21 +246,11 @@ def main(argv=None) -> int:
         "commands": {"critval": "slopesize " + " ".join(CRITVAL_ARGV + sizes["reps"]),
                      "search": "slopesize " + " ".join(SEARCH_ARGV + sizes["reps"])},
         "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys", "critval": 1, "search": 1},
-        "machine": _machine(),
+        "machine": machine(),
         "stdout": first,
         "outputs_identical": identical,
     }
-    for name, src in sides.items():
-        report[name] = {"commit": _git_commit(src), "runs": runs[name],
-                        "median": _median(runs[name])}
-    if "before" in report:
-        report["change"] = _change(report["before"]["median"], report["after"]["median"])
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}", file=sys.stderr)
-    if not identical:
-        print("error: the sides printed different output", file=sys.stderr)
-        return 1
-    return 0
+    return finish(report, sides, runs, _median, _change, args.out)
 
 
 if __name__ == "__main__":

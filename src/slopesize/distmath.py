@@ -5,9 +5,10 @@ state is touched, so all routines are safe to call from any thread.
 
 Accuracy targets (absolute error): 1e-12 for the normal CDF, 1e-10 for the
 central and noncentral t CDFs, 1e-9 in probability for quantile inversion.
-The incomplete beta function underneath is evaluated by a Lentz continued
-fraction with a series fallback through the symmetry relation, which leaves
-enough headroom for those targets.
+The t CDFs rest on a Lentz continued fraction for the incomplete beta
+function, taken on whichever side of the symmetry relation converges. The t
+quantile is Newton's method on that CDF until |t_cdf(x) - p| <= 1e-13, so
+its accuracy is the CDF's, at about two CDF evaluations per quantile.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ _CF_TOL = 1e-15
 _CF_MAX_ITER = 500
 _NCT_TOL = 1e-12
 _NCT_MAX_TERMS = 3000
+_NEWTON_MAX_ITER = 200
 
 
 class NonConvergenceError(ArithmeticError):
@@ -121,43 +123,53 @@ def t_cdf(x: float, df: int) -> float:
         raise ValueError(f"x must be finite, got {x!r}")
     if x == 0.0:
         return 0.5
-    tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
+    x2 = x * x
+    if x2 < df:
+        # near the center df / (df + x^2) rounds towards 1, so integrate from 0
+        half = 0.5 * _reg_inc_beta(0.5, 0.5 * df, x2 / (df + x2))
+        return 0.5 + half if x > 0.0 else 0.5 - half
+    tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x2))
     return 1.0 - tail if x > 0.0 else tail
 
 
 def t_quantile(p: float, df: int) -> float:
-    """Inverse of t_cdf, by bracketed bisection plus a secant polish."""
+    """Inverse of t_cdf, by Newton's method safeguarded with a bracket.
+
+    Starts from the closed form at df 1 and 2, else from the Cornish-Fisher
+    expansion around the normal quantile. Each CDF value narrows [lo, hi]; a
+    Newton step outside it is replaced by bisection, or by doubling while hi
+    is unbounded. Stops once |t_cdf(x) - p| <= 1e-13 or the step is below
+    1e-13 * |x|.
+    """
     _check_prob(p)
     df = _check_df(df)
     if p == 0.5:
         return 0.0
     if p < 0.5:
         return -t_quantile(1.0 - p, df)
-    lo, hi = 0.0, 1.0
-    while t_cdf(hi, df) < p:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e300:
-            break
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if t_cdf(mid, df) < p:
-            lo = mid
+    if df == 1:
+        x = math.tan(math.pi * (p - 0.5))
+    elif df == 2:
+        x = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+    else:
+        z = normal_quantile(p)
+        x = z + (z**3 + z) / (4.0 * df) + (5.0 * z**5 + 16.0 * z**3 + 3.0 * z) / (96 * df * df)
+    log_norm = 0.5 * math.log(df) + _log_beta(0.5 * df, 0.5)
+    lo, hi = 0.0, math.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        err = t_cdf(x, df) - p
+        if err < 0.0:
+            lo = x
         else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    x = 0.5 * (lo + hi)
-    # secant polish using the t density as local slope
-    dens = math.exp(
-        -0.5 * (df + 1.0) * math.log1p(x * x / df)
-        - 0.5 * math.log(df)
-        - _log_beta(0.5 * df, 0.5)
-    )
-    if dens > 0.0:
-        x -= (t_cdf(x, df) - p) / dens
-    return x
+            hi = x
+        dens = math.exp(-0.5 * (df + 1.0) * math.log1p(x * x / df) - log_norm)
+        step = x - err / dens if dens > 0.0 else math.nan
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
+        if abs(err) <= 1e-13 or abs(step - x) <= 1e-13 * abs(x):
+            return step
+        x = step
+    raise NonConvergenceError(f"t quantile did not converge at p={p}, df={df}")
 
 
 def noncentral_t_cdf(x: float, df: int, ncp: float) -> float:

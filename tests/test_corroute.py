@@ -40,6 +40,20 @@ CORR_N = {
 }
 TARGETS = [0.80, 0.90, 0.95, 0.99]
 
+# find_sample_size_corr on all 72 cells, captured with the bisection t
+# quantile; 11 cells at alpha 0.10 exceed CORR_N by 1
+CORR_N_PINNED = {
+    0.10: {0.1: [623, 862, 1088, 1585], 0.2: [159, 219, 277, 402],
+           0.3: [73, 100, 126, 183], 0.4: [43, 59, 74, 106],
+           0.5: [29, 40, 49, 71], 0.6: [22, 29, 36, 51]},
+    0.05: {0.1: [790, 1057, 1306, 1846], 0.2: [201, 269, 332, 468],
+           0.3: [92, 123, 151, 213], 0.4: [54, 72, 88, 123],
+           0.5: [37, 48, 59, 82], 0.6: [27, 35, 43, 59]},
+    0.01: {0.1: [1175, 1496, 1790, 2414], 0.2: [299, 380, 454, 612],
+           0.3: [137, 173, 207, 278], 0.4: [80, 101, 120, 161],
+           0.5: [53, 67, 80, 107], 0.6: [39, 49, 58, 77]},
+}
+
 
 def reference_t1(n, rho, task, x_role, z_role):
     """T1 of one replicate redrawn on its own task id's streams, fitted directly."""
@@ -195,6 +209,17 @@ class TestFindSampleSizeCorr:
             for target, want in zip(TARGETS, cells):
                 got = find_sample_size_corr(rho, 0.05, target, SimPlan(master_seed=SEED)).n
                 assert abs(got - want) <= 1, (lam, target, got, want)
+
+    def test_every_cell_is_pinned(self):
+        got = {
+            alpha: {
+                lam: [find_sample_size_corr(lambda_to_rho(lam), alpha, target,
+                                            SimPlan(master_seed=SEED)).n for target in TARGETS]
+                for lam in cells
+            }
+            for alpha, cells in CORR_N_PINNED.items()
+        }
+        assert got == CORR_N_PINNED
 
     def test_smallest_n_property(self):
         res = find_sample_size_corr(0.3714, 0.05, 0.90, SimPlan(master_seed=SEED))

@@ -8,12 +8,14 @@ normal CDF, 1e-10 for the t CDFs, 1e-9 (probability scale) for quantiles.
 """
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopesize import distmath
 from slopesize.distmath import (
     NonConvergenceError,
     fixed_design_power,
@@ -39,6 +41,11 @@ def erf_series(x: float) -> float:
 
 def phi_oracle(x: float) -> float:
     return 0.5 * (1.0 + erf_series(x / math.sqrt(2.0)))
+
+
+# every df up to 100, then a stride through 3000, with the sizes the
+# searches reach most often
+QUANTILE_DFS = sorted(set(range(1, 101)) | set(range(101, 3001, 7)) | {598, 2400, 2412, 3000})
 
 
 class TestNormalCdf:
@@ -120,6 +127,19 @@ class TestTCdf:
                     float(scipy_stats.t.cdf(x, df)), abs=1e-10
                 )
 
+    def test_accurate_near_zero_at_large_df(self):
+        # near 0, df / (df + x^2) rounds towards 1 at large df; the CDF is
+        # integrated from 0 there instead of from the tail
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in (1, 2, 5, 28, 200, 2400, 10**5):
+            for x in (1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+                for signed in (x, -x):
+                    assert t_cdf(signed, df) == pytest.approx(
+                        float(scipy_stats.t.cdf(signed, df)), abs=1e-10
+                    ), (signed, df)
+        # true value 2.5069e-7; a CDF that rounds near 0 puts it below zero
+        assert t_quantile(0.5000001, 2400) == pytest.approx(2.506889394e-7, rel=1e-8)
+
     def test_normal_limit(self):
         for x in (-2.0, -0.5, 1.0, 2.5):
             assert t_cdf(x, 10**6) == pytest.approx(normal_cdf(x), abs=1e-4)
@@ -155,6 +175,41 @@ class TestTQuantile:
     def test_rejects_bad_probability(self, p):
         with pytest.raises(ValueError):
             t_quantile(p, 5)
+
+    def test_inverse_to_1e_11_on_grid(self):
+        for df in QUANTILE_DFS + [10**5]:
+            for p in (0.5000001, 0.6, 0.9, 0.975, 0.995, 0.9995, 1 - 1e-9):
+                assert abs(t_cdf(t_quantile(p, df), df) - p) <= 1e-11, (p, df)
+
+    def test_matches_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in (1, 2, 3, 5, 10, 28, 100, 598, 2400, 3000, 10**5):
+            for p in (0.5000001, 0.6, 0.9, 0.975, 0.995, 0.9995, 1 - 1e-9):
+                x = t_quantile(p, df)
+                # scipy's own CDF is off by up to 6e-11 near 0 at df 1
+                assert float(scipy_stats.t.cdf(x, df)) == pytest.approx(p, abs=1e-10)
+                if p >= 0.6:
+                    # scipy's ppf is off by 4e-4 relative at (0.5000001, 4),
+                    # and by 1e-8 at p = 1 - 1e-9
+                    assert x == pytest.approx(float(scipy_stats.t.ppf(p, df)), rel=1e-7)
+
+    def test_two_cdf_calls_per_quantile(self, monkeypatch):
+        calls = []
+        inner = distmath.t_cdf
+
+        def counting(x, df):
+            calls.append(x)
+            return inner(x, df)
+
+        monkeypatch.setattr(distmath, "t_cdf", counting)
+        counts = []
+        for df in QUANTILE_DFS:
+            for p in (0.9, 0.95, 0.975, 0.995, 0.9995):
+                calls.clear()
+                t_quantile(p, df)
+                counts.append(len(calls))
+        assert statistics.median(counts) <= 3
+        assert max(counts) <= 8
 
 
 class TestNoncentralTCdf:
