@@ -66,6 +66,13 @@ def measure(sizes: dict) -> dict:
     from slopesize import cli, corroute, distmath
     from slopesize.stochastics import SimPlan
 
+    count = [0]
+    inner = distmath.t_cdf
+
+    def counting(x, df):
+        count[0] += 1
+        return inner(x, df)
+
     quantile_us, cdf_calls = {}, {}
     for df in DFS:
         per_p = []
@@ -79,13 +86,7 @@ def measure(sizes: dict) -> dict:
             per_p.append(best * 1e6)
         quantile_us[str(df)] = round(statistics.median(per_p), 1)
 
-        count = [0]
-        inner = distmath.t_cdf
-
-        def counting(x, df):
-            count[0] += 1
-            return inner(x, df)
-
+        count[0] = 0
         distmath.t_cdf = counting
         try:
             for p in PS:
