@@ -11,19 +11,12 @@ from .distmath import (
     t_cdf,
     t_quantile,
 )
-from .stochastics import (
-    SimPlan,
-    StreamKey,
-    empirical_quantile,
-    sample_chisq,
-    sample_normal,
-)
+from .stochastics import SimPlan, StreamKey
 from .exactnull import (
     ModelParams,
     beta1hat_density,
     beta1hat_moments,
     expected_t2,
-    sample_t2_null,
     scaled_t_transform,
     t2_null_draws,
 )
@@ -55,7 +48,6 @@ from .corroute import (
     corr_power_mc,
     find_sample_size_corr,
     lambda_to_rho,
-    rho_lambda_curve,
     rho_to_lambda,
 )
 

@@ -161,9 +161,7 @@ def build_table(
     if which in (2, 3, 4):
         cols = ["lambda", "power", "n", "mean", "sd"]
         return searched[key], cols, {"mean": ".4f", "sd": ".4f"}
-    rows_c = corroute.contrast_table(
-        alpha, DEFAULT_LAMBDAS, DEFAULT_TARGETS, pw_plan, power_rows=searched[key]
-    )
+    rows_c = corroute.contrast_table(alpha, searched[key], pw_plan)
     rows = [
         {
             "lambda": r.lam,

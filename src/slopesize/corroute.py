@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critvals import CriticalValueCache
 from .distmath import normal_cdf, t_quantile
 from .powersim import (
     PowerEstimate,
@@ -32,7 +31,6 @@ from .powersim import (
     SearchFailureError,
     SimDiagnostics,
     _slope_t_prefixes,
-    power_table,
 )
 from .stochastics import SimPlan
 from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
@@ -45,7 +43,6 @@ __all__ = [
     "corr_power_mc",
     "find_sample_size_corr",
     "contrast_table",
-    "rho_lambda_curve",
 ]
 
 # stream roles (x, z) of one correlation run; the retry k of a degenerate
@@ -175,45 +172,27 @@ def find_sample_size_corr(
     )
 
 
-def contrast_table(
-    alpha: float,
-    lambdas,
-    targets,
-    plan: SimPlan,
-    *,
-    cache: CriticalValueCache | None = None,
-    critval_plan: SimPlan | None = None,
-    power_rows: list[dict] | None = None,
-) -> list[ContrastRow]:
-    """Slope-route versus correlation-route sample sizes over a grid.
+def contrast_table(alpha: float, power_rows: list[dict], plan: SimPlan) -> list[ContrastRow]:
+    """Slope-route versus correlation-route sample sizes, one row per search.
 
-    The slope-route sizes come from powersim.power_table on the same grid
-    and plans; pass its rows as power_rows to reuse searches already made.
+    power_rows are slope-route search rows {lambda, power, n, ...}, as made
+    by powersim.power_table; each is set against the correlation route's
+    Fisher-z sample size for the same cell, in the rows' order.
     """
-    if power_rows is None:
-        power_rows = power_table(
-            alpha, lambdas, targets, plan, cache=cache, critval_plan=critval_plan
-        )
-    n_slope = {(row["lambda"], row["power"]): row["n"] for row in power_rows}
     rows = []
-    for lam in lambdas:
+    for row in power_rows:
+        lam, target, n_slope = row["lambda"], row["power"], row["n"]
         rho = lambda_to_rho(lam)
-        for target in targets:
-            n_corr = find_sample_size_corr(rho, alpha, target, plan).n
-            rows.append(
-                ContrastRow(
-                    alpha=alpha,
-                    lam=lam,
-                    rho=rho,
-                    target_power=target,
-                    n_slope=n_slope[lam, target],
-                    n_corr=n_corr,
-                    difference=n_slope[lam, target] - n_corr,
-                )
+        n_corr = find_sample_size_corr(rho, alpha, target, plan).n
+        rows.append(
+            ContrastRow(
+                alpha=alpha,
+                lam=lam,
+                rho=rho,
+                target_power=target,
+                n_slope=n_slope,
+                n_corr=n_corr,
+                difference=n_slope - n_corr,
             )
+        )
     return rows
-
-
-def rho_lambda_curve(lambda_grid) -> list[tuple[float, float]]:
-    """(lam, rho) pairs of the effect-size/correlation bridge, for plotting."""
-    return [(float(lam), lambda_to_rho(float(lam))) for lam in lambda_grid]

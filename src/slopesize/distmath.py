@@ -7,8 +7,9 @@ Accuracy targets (absolute error): 1e-12 for the normal CDF, 1e-10 for the
 central and noncentral t CDFs, 1e-9 in probability for quantile inversion.
 The t CDFs rest on a Lentz continued fraction for the incomplete beta
 function, taken on whichever side of the symmetry relation converges. The t
-quantile is Newton's method on that CDF until |t_cdf(x) - p| <= 1e-13, so
-its accuracy is the CDF's, at about two CDF evaluations per quantile.
+quantile is Newton's method on that CDF until |t_cdf(x) - p| <= 1e-13 (below
+the median, until t_cdf(x) / p is within 1e-13 of 1), so its accuracy is the
+CDF's, at two to four CDF evaluations per quantile.
 """
 
 from __future__ import annotations
@@ -136,17 +137,19 @@ def t_quantile(p: float, df: int) -> float:
     """Inverse of t_cdf, by Newton's method safeguarded with a bracket.
 
     Starts from the closed form at df 1 and 2, else from the Cornish-Fisher
-    expansion around the normal quantile. Each CDF value narrows [lo, hi]; a
-    Newton step outside it is replaced by bisection, or by doubling while hi
-    is unbounded. Stops once |t_cdf(x) - p| <= 1e-13 or the step is below
-    1e-13 * |x|.
+    expansion around the normal quantile, and stays on p's side of 0: a p
+    below the median is solved on the lower tail itself, since 1 - p would
+    round it away. Above the median Newton runs on t_cdf(x) - p; below it,
+    on log(t_cdf(x) / p) against log|x|, which is exact on a power-law tail.
+    Either stops once that error is at most 1e-13 (relative to p below the
+    median) or the step is below 1e-13 * |x|. Each CDF value narrows
+    [lo, hi]; a step outside it is replaced by bisection, or by doubling
+    while the bracket is unbounded.
     """
     _check_prob(p)
     df = _check_df(df)
     if p == 0.5:
         return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, df)
     if df == 1:
         x = math.tan(math.pi * (p - 0.5))
     elif df == 2:
@@ -155,17 +158,28 @@ def t_quantile(p: float, df: int) -> float:
         z = normal_quantile(p)
         x = z + (z**3 + z) / (4.0 * df) + (5.0 * z**5 + 16.0 * z**3 + 3.0 * z) / (96 * df * df)
     log_norm = 0.5 * math.log(df) + _log_beta(0.5 * df, 0.5)
-    lo, hi = 0.0, math.inf
+    upper = p > 0.5
+    lo, hi = (0.0, math.inf) if upper else (-math.inf, 0.0)
     for _ in range(_NEWTON_MAX_ITER):
-        err = t_cdf(x, df) - p
+        cdf = t_cdf(x, df)
+        if upper:
+            err = cdf - p
+        else:
+            err = math.log(cdf / p) if cdf > 0.0 else -math.inf
         if err < 0.0:
             lo = x
         else:
             hi = x
         dens = math.exp(-0.5 * (df + 1.0) * math.log1p(x * x / df) - log_norm)
-        step = x - err / dens if dens > 0.0 else math.nan
-        if not lo <= step <= hi:
-            step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
+        if not (dens > 0.0 and math.isfinite(err)):
+            step = math.nan
+        elif upper:
+            step = x - err / dens
+        else:
+            # capped below overflow; a step that leaves the bracket is replaced
+            step = x * math.exp(min(err * cdf / (dens * -x), 700.0))
+        if not (math.isfinite(step) and lo <= step <= hi):
+            step = 0.5 * (lo + hi) if math.isfinite(lo + hi) else 2.0 * x
         if abs(err) <= 1e-13 or abs(step - x) <= 1e-13 * abs(x):
             return step
         x = step

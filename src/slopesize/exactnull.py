@@ -29,7 +29,6 @@ from .stochastics import StreamKey, chisq_array
 __all__ = [
     "ModelParams",
     "Moments",
-    "sample_t2_null",
     "t2_null_draws",
     "beta1hat_density",
     "beta1hat_moments",
@@ -87,11 +86,6 @@ def t2_null_draws(key: StreamKey, n: int, size: int) -> np.ndarray:
     w1 *= w4
     w1 /= np.multiply(w2, w3, out=w2)  # (n-2)/(n-1) * w1 * w4 / (w2 * w3)
     return w1
-
-
-def sample_t2_null(key: StreamKey, n: int) -> float:
-    """One draw of T^2 from the four-factor ratio law (always strictly positive)."""
-    return float(t2_null_draws(key, n, 1)[0])
 
 
 def beta1hat_density(b: float, n: int, params: ModelParams) -> float:

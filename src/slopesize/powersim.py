@@ -9,8 +9,10 @@ from another, both keyed by the run's first task id, as blocks with one row
 per observation and one column per trial. This makes every estimate
 bit-reproducible and gives common random numbers across sample sizes for
 free: the draws at a smaller n are the first rows of the draws at a larger
-n, and the moments are merged block by block so that the t values cut at a
-smaller n are bit-identical to a run drawn at that n.
+n, and running sums of x, e, x^2, x*e and e^2 are added block by block so
+that the t values cut at a smaller n are bit-identical to a run drawn at
+that n. The fit is closed on e alone, so the effect size enters only the
+final slope estimate.
 
 The sample-size search starts at the correlation route's deterministic
 Fisher-z sample size, which needs no simulation, and settles on the smallest
@@ -78,9 +80,9 @@ _SLOPE_ROLES = (_X_STREAM, _EPS_STREAM)
 _MAX_RETRIES = 64
 
 # variates per block array: a run is read max(1, _CHUNK_VARIATES // trials)
-# observations at a time, which bounds memory for any n; the block size
-# depends only on the trial count, so a prefix of a run is bit-identical to
-# a shorter run
+# observations at a time and each block's sums are added to running sums,
+# which bounds memory for any n; the block size depends only on the trial
+# count, so a prefix of a run is bit-identical to a shorter run
 _CHUNK_VARIATES = 4096 * 64
 
 # sizes below a fresh scout whose run powers come from the scout's draws.
@@ -199,40 +201,16 @@ def fit_slope_stats(xs, ys) -> FitStats:
     )
 
 
-def _block_moments(x: np.ndarray, e: np.ndarray, lam: float) -> tuple:
-    """(count, mean x, mean y, S_XX, S_XY, S_YY) per column, y = lam * x + e."""
-    y = lam * x + e
-    mx = x.mean(axis=0)
-    my = y.mean(axis=0)
-    dx = x - mx
-    dy = y - my
-    return (
-        len(x),
-        mx,
-        my,
-        np.einsum("ij,ij->j", dx, dx),
-        np.einsum("ij,ij->j", dx, dy),
-        np.einsum("ij,ij->j", dy, dy),
-    )
-
-
-def _merge_moments(a: tuple | None, b: tuple) -> tuple:
-    """Centered moments of two blocks of observations combined (Chan et al.)."""
-    if a is None:
-        return b
-    na, mxa, mya, sxxa, sxya, syya = a
-    nb, mxb, myb, sxxb, sxyb, syyb = b
-    n = na + nb
-    dx = mxb - mxa
-    dy = myb - mya
-    w = na * nb / n
-    return (
-        n,
-        mxa + dx * (nb / n),
-        mya + dy * (nb / n),
-        sxxa + sxxb + w * dx * dx,
-        sxya + sxyb + w * dx * dy,
-        syya + syyb + w * dy * dy,
+def _block_sums(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per-column (sum x, sum e, sum x^2, sum x*e, sum e^2) of a block, shape (5, trials)."""
+    return np.array(
+        [
+            x.sum(axis=0),
+            e.sum(axis=0),
+            np.einsum("ij,ij->j", x, x),
+            np.einsum("ij,ij->j", x, e),
+            np.einsum("ij,ij->j", e, e),
+        ]
     )
 
 
@@ -254,13 +232,16 @@ def _slope_t_prefixes(
     size, and a smaller size m is its first m rows (common random numbers).
 
     Rows are read a block of R = max(1, _CHUNK_VARIATES // trials) at a time,
-    so memory is bounded for any n, and the centered moments of each block
-    are merged into running moments per trial. The value at m merges the
-    full blocks below m with the first m - kR rows of block k; since R
-    depends only on the trial count, every result is bit-identical to a
-    draw at m. Degenerate trials (zero S_XX or zero RSS, a probability-zero
-    event) are redrawn on their own task id with roles shifted by 2k at
-    retry k.
+    so memory is bounded for any n, and each block's sums of x, e, x^2, x*e
+    and e^2 are added to running sums per trial. The value at m adds the
+    first m - kR rows of block k to the running sums of the full blocks
+    below it; since R depends only on the trial count, every result is
+    bit-identical to a draw at m. The fit is closed on e alone: the
+    residuals of y = lam * x + e on x are those of e, so RSS = S_EE -
+    S_XE^2 / S_XX and beta1_hat = lam + S_XE / S_XX, which keeps RSS free of
+    cancellation at any lam. Degenerate trials (zero S_XX or zero RSS, a
+    probability-zero event) are redrawn on their own task id with roles
+    shifted by 2k at retry k.
     """
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
@@ -270,26 +251,33 @@ def _slope_t_prefixes(
     n = max(lengths)
     x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
     e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
-    moments: dict[int, tuple] = {}
-    total = None  # merged moments of the full blocks read so far
+    sums: dict[int, np.ndarray] = {}
+    total = np.zeros((5, trials))  # sums over the full blocks read so far
     for start in range(0, n, rows):
         size = min(rows, n - start)
         x = x_gen.standard_normal((size, trials))
         e = e_gen.standard_normal((size, trials))
         for cut in {m - start for m in lengths if start < m <= start + size}:
-            moments[start + cut] = _merge_moments(total, _block_moments(x[:cut], e[:cut], lam))
+            sums[start + cut] = total + _block_sums(x[:cut], e[:cut])
         if start + size < n:
-            full = moments.get(start + rows)
-            total = full if full is not None else _merge_moments(total, _block_moments(x, e, lam))
+            full = sums.get(start + rows)
+            total = full if full is not None else total + _block_sums(x, e)
     out = []
     for m in lengths:
-        _, _, _, sxx, sxy, syy = moments[m]
+        # one-pass sums lose nothing to cancellation here: x and e are
+        # mean-zero normals (mu_x = beta0 = 0 in the reduced model), so
+        # (sum x)^2 / m is O(1) against sum x^2 ~ m, and likewise for e
+        sx, se, sxx, sxe, see = sums[m]
+        sxx = sxx - sx * sx / m
+        sxe = sxe - sx * se / m
+        see = see - se * se / m
         bad = sxx == 0.0
         sxx_safe = np.where(bad, 1.0, sxx)
-        rss = syy - sxy * sxy / sxx_safe
+        rss = see - sxe * sxe / sxx_safe
         bad |= rss <= 0.0
         rss_safe = np.where(bad, 1.0, rss)
-        t = (sxy / sxx_safe) * np.sqrt(sxx_safe / (m - 1)) / np.sqrt(rss_safe / (m - 2))
+        beta1_hat = lam + sxe / sxx_safe
+        t = beta1_hat * np.sqrt(sxx_safe / (m - 1)) / np.sqrt(rss_safe / (m - 2))
         for i in np.flatnonzero(bad):
             t[i] = _resample_replicate(m, lam, master_seed, int(tasks[i]), diagnostics, roles)
         out.append(t)

@@ -47,11 +47,8 @@ __all__ = [
     "SimPlan",
     "VALIDATION_TASK_BASE",
     "generator",
-    "sample_normal",
     "normal_array",
-    "sample_chisq",
     "chisq_array",
-    "empirical_quantile",
 ]
 
 _U64 = 2**64
@@ -131,15 +128,6 @@ def normal_matrix(master_seed: int, tasks, stream_id: int, n: int) -> np.ndarray
     return out
 
 
-def sample_normal(key: StreamKey, mu: float, sd: float) -> float:
-    """One N(mu, sd^2) draw; sd = 0 degenerates to the point mass at mu."""
-    if sd < 0.0:
-        raise ValueError(f"sd must be nonnegative, got {sd!r}")
-    if sd == 0.0:
-        return float(mu)
-    return float(mu + sd * generator(key).standard_normal())
-
-
 def normal_array(key: StreamKey, size: int) -> np.ndarray:
     """Vector of standard normal draws from the key's stream."""
     return generator(key).standard_normal(size)
@@ -193,13 +181,12 @@ def chisq_array(key: StreamKey, df: int, size: int) -> np.ndarray:
     return np.multiply(2.0, out, out=out)
 
 
-def sample_chisq(key: StreamKey, df: int) -> float:
-    """One chi-square draw with df degrees of freedom."""
-    return float(chisq_array(key, df, 1)[0])
-
-
 def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
-    """Interpolated order statistic on already-sorted data."""
+    """Empirical p-quantile of sorted data, interpolated between order statistics.
+
+    With m values and h = (m - 1) * p, returns
+    x[floor(h)] + (h - floor(h)) * (x[floor(h) + 1] - x[floor(h)]) (0-indexed).
+    """
     m = sorted_values.size
     h = (m - 1) * p
     i = int(math.floor(h))
@@ -207,18 +194,3 @@ def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
     if frac == 0.0 or i + 1 >= m:
         return float(sorted_values[i])
     return float(sorted_values[i] + frac * (sorted_values[i + 1] - sorted_values[i]))
-
-
-def empirical_quantile(samples, p: float) -> float:
-    """Empirical p-quantile by linear interpolation between order statistics.
-
-    With m values and h = (m - 1) * p, returns
-    x[floor(h)] + (h - floor(h)) * (x[floor(h) + 1] - x[floor(h)]) on the
-    sorted data (0-indexed).
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("samples must be nonempty")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    return _quantile_sorted(np.sort(arr), p)

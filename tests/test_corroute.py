@@ -15,10 +15,9 @@ from slopesize.corroute import (
     corr_t1_batch,
     find_sample_size_corr,
     lambda_to_rho,
-    rho_lambda_curve,
     rho_to_lambda,
 )
-from slopesize.powersim import SearchFailureError, SimDiagnostics, fit_slope_stats
+from slopesize.powersim import SearchFailureError, SimDiagnostics, fit_slope_stats, power_table
 from slopesize.stochastics import SimPlan, StreamKey, generator, normal_array
 
 SEED = 20260808
@@ -113,10 +112,8 @@ class TestBridge:
             rho_to_lambda(rho)
 
     def test_curve_tabulation(self):
-        grid = [0.1, 0.5, 1.0, 2.0]
-        pairs = rho_lambda_curve(grid)
-        assert pairs[0] == (0.1, pytest.approx(0.0995, abs=5e-5))
-        rhos = [r for _, r in pairs]
+        rhos = [lambda_to_rho(lam) for lam in (0.1, 0.5, 1.0, 2.0)]
+        assert rhos[0] == pytest.approx(0.0995, abs=5e-5)
         assert rhos == sorted(rhos)
 
 
@@ -244,11 +241,12 @@ class TestFindSampleSizeCorr:
 class TestContrastTable:
     def test_small_grid_structure(self, session_cache):
         plan = SimPlan(reps_inner=1_000, reps_outer=50, master_seed=SEED)
-        rows = contrast_table(
+        power_rows = power_table(
             0.10, [0.6], [0.80], plan,
             cache=session_cache,
             critval_plan=SimPlan(reps_inner=1_000, reps_outer=50, master_seed=SEED),
         )
+        rows = contrast_table(0.10, power_rows, plan)
         assert len(rows) == 1
         row = rows[0]
         assert row.alpha == 0.10

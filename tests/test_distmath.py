@@ -194,6 +194,17 @@ class TestTQuantile:
                     # and by 1e-8 at p = 1 - 1e-9
                     assert x == pytest.approx(float(scipy_stats.t.ppf(p, df)), rel=1e-7)
 
+    @pytest.mark.parametrize("df", [1, 2, 5, 30])
+    @pytest.mark.parametrize("p", [1e-10, 1e-17])
+    def test_lower_tail_relative_to_p(self, p, df):
+        # reflecting through 1 - p would round p away (1 - 1e-17 == 1.0)
+        assert abs(t_cdf(t_quantile(p, df), df) / p - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("df", [1, 3, 28, 598, 2400])
+    def test_lower_tail_mirrors_upper(self, df):
+        for p in (0.4, 0.1, 0.025, 0.005):
+            assert t_quantile(p, df) == pytest.approx(-t_quantile(1.0 - p, df), rel=1e-12)
+
     def test_two_cdf_calls_per_quantile(self, monkeypatch):
         calls = []
         inner = distmath.t_cdf

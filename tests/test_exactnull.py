@@ -13,7 +13,6 @@ from slopesize.exactnull import (
     beta1hat_density,
     beta1hat_moments,
     expected_t2,
-    sample_t2_null,
     scaled_t_transform,
     t2_null_draws,
 )
@@ -63,11 +62,11 @@ class TestT2NullDraws:
 
     def test_scalar_deterministic(self):
         key = StreamKey(SEED, 5)
-        assert sample_t2_null(key, 30) == sample_t2_null(key, 30)
+        assert t2_null_draws(key, 30, 1)[0] == t2_null_draws(key, 30, 1)[0]
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            sample_t2_null(StreamKey(SEED, 0), 2)
+            t2_null_draws(StreamKey(SEED, 0), 2, 1)
 
     def test_mean_matches_closed_form(self):
         n = 30

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import row_moments
 from slopesize import powersim
 from slopesize.corroute import corr_t1_batch
 from slopesize.critvals import EXACT_MC, CriticalValueEstimate, cached_critical_value
@@ -262,6 +263,25 @@ class TestSlopeTBatch:
         tasks = np.arange(3_000, 3_000 + trials, dtype=np.int64)
         t_vals = slope_t_batch(n, lam, SEED, tasks)
         assert t_vals == pytest.approx(run_reference_t(n, lam, 3_000, trials), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e3, 1e6])
+    def test_large_effect_matches_two_pass_fit_of_noise(self, lam):
+        # the residuals of lam * x + e on x are those of e, so a fit of the
+        # noise block with beta1_hat = lam + S_XE / S_XX is exact at any lam
+        n, trials = 20, 1_000
+        x = generator(StreamKey(1, 0, powersim._X_STREAM)).standard_normal((n, trials))
+        e = generator(StreamKey(1, 0, powersim._EPS_STREAM)).standard_normal((n, trials))
+        sxx, sxe, see = row_moments(x.T, e.T)
+        rss = see - sxe * sxe / sxx
+        expected = (lam + sxe / sxx) * np.sqrt(sxx / (n - 1)) / np.sqrt(rss / (n - 2))
+        t_vals = slope_t_batch(n, lam, 1, np.arange(trials))
+        assert t_vals == pytest.approx(expected, rel=1e-12)
+
+    def test_huge_effect_needs_no_resample(self):
+        diagnostics = SimDiagnostics()
+        t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000), diagnostics)
+        assert diagnostics.resampled == 0
+        assert np.all(np.isfinite(t_vals))
 
     def test_tasks_must_be_consecutive(self):
         for tasks in ([0, 1, 3], [5, 4, 3], [], np.array([[0, 1], [2, 3]])):

@@ -14,13 +14,11 @@ from slopesize.exactnull import t2_null_draws
 from slopesize.stochastics import (
     SimPlan,
     StreamKey,
+    _quantile_sorted,
     chisq_array,
-    empirical_quantile,
     generator,
     normal_array,
     normal_matrix,
-    sample_chisq,
-    sample_normal,
 )
 
 SEED = 20260808
@@ -75,13 +73,6 @@ class TestSimPlan:
 
 
 class TestSampleNormal:
-    def test_degenerate_sd(self):
-        assert sample_normal(StreamKey(SEED, 0, 0), 3.5, 0.0) == 3.5
-
-    def test_rejects_negative_sd(self):
-        with pytest.raises(ValueError):
-            sample_normal(StreamKey(SEED, 0, 0), 0.0, -1.0)
-
     def test_mean_and_variance_clt_bounds(self):
         draws = normal_array(StreamKey(SEED, 3, 0), 10**6)
         assert abs(draws.mean()) < 4 / math.sqrt(10**6)
@@ -91,13 +82,13 @@ class TestSampleNormal:
 class TestSampleChisq:
     def test_positive_and_deterministic(self):
         key = StreamKey(SEED, 9, 2)
-        value = sample_chisq(key, 1)
-        assert value > 0.0
-        assert value == sample_chisq(key, 1)
+        draws = chisq_array(key, 1, 1_000)
+        assert np.all(draws > 0.0)
+        assert draws.tobytes() == chisq_array(key, 1, 1_000).tobytes()
 
     def test_rejects_bad_df(self):
         with pytest.raises(ValueError):
-            sample_chisq(StreamKey(SEED, 0, 0), 0)
+            chisq_array(StreamKey(SEED, 0, 0), 0, 1)
 
     def test_mean_df5(self):
         # mean=df, var=2*df: 4-sigma band for 1e6 draws
@@ -132,27 +123,17 @@ class TestSampleChisq:
 
 
 class TestEmpiricalQuantile:
+    # the interpolation rule critical values take from the sorted draws
+
     def test_median_odd(self):
-        assert empirical_quantile([1, 2, 3, 4, 5], 0.5) == 3.0
+        assert _quantile_sorted(np.array([1.0, 2, 3, 4, 5]), 0.5) == 3.0
 
     def test_median_even_interpolates(self):
-        assert empirical_quantile([1, 2, 3, 4], 0.5) == 2.5
+        assert _quantile_sorted(np.array([1.0, 2, 3, 4]), 0.5) == 2.5
 
     def test_hand_interpolation(self):
         # m=2, h = 0.75: 10 + 0.75 * (20 - 10)
-        assert empirical_quantile([10, 20], 0.75) == 17.5
-
-    def test_unsorted_input(self):
-        assert empirical_quantile([5, 1, 4, 2, 3], 0.5) == 3.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_quantile([], 0.5)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1])
-    def test_rejects_bad_p(self, p):
-        with pytest.raises(ValueError):
-            empirical_quantile([1.0, 2.0], p)
+        assert _quantile_sorted(np.array([10.0, 20.0]), 0.75) == 17.5
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
@@ -162,8 +143,9 @@ class TestEmpiricalQuantile:
     @settings(max_examples=100)
     def test_monotone_in_p_and_bounded(self, samples, p1, p2):
         lo, hi = sorted((p1, p2))
-        q_lo = empirical_quantile(samples, lo)
-        q_hi = empirical_quantile(samples, hi)
+        ordered = np.sort(samples)
+        q_lo = _quantile_sorted(ordered, lo)
+        q_hi = _quantile_sorted(ordered, hi)
         assert q_lo <= q_hi
         assert min(samples) <= q_lo and q_hi <= max(samples)
 
