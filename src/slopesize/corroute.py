@@ -13,23 +13,28 @@ y = rho * x + sqrt(1 - rho^2) * z is lam * x + z up to a positive factor,
 which leaves the slope t statistic T unchanged, and on every sample the
 correlation statistic is T1 = sqrt(n - 1) * T. Only the stream roles differ:
 a run's x and z blocks come from roles 200 and 201 under its first task id.
-The contrast table puts the slope-route sample size (simulated) next to the
+
+The route's sample size is the slope route's search (_refine_validated) on
+the Fisher-z power, started at ceil(((z_{1-alpha/2} + z_target) /
+atanh|rho|)^2 + 3), the answer or one above it on all 72 table cells. The
+contrast table puts the slope-route sample size (simulated) next to the
 correlation-route sample size (deterministic) for each (lam, target) cell.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distmath import normal_cdf, t_quantile
+from .distmath import normal_cdf, normal_quantile, t_quantile
 from .powersim import (
     PowerEstimate,
     SampleSizeResult,
-    SearchFailureError,
     SimDiagnostics,
+    _refine_validated,
     _slope_t_prefixes,
 )
 from .stochastics import SimPlan
@@ -65,6 +70,8 @@ def lambda_to_rho(lam: float) -> float:
     """Correlation implied by the effect size; odd and strictly increasing."""
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
+    if abs(lam) > 1e9:  # the formula is +-1 here, and lam * lam overflows above ~1.3e154
+        return math.copysign(1.0, lam)
     return lam / math.sqrt(1.0 + lam * lam)
 
 
@@ -140,33 +147,22 @@ def corr_power_mc(
 def find_sample_size_corr(
     rho: float, alpha: float, target: float, plan: SimPlan, *, n_ceiling: int = 10**6
 ) -> SampleSizeResult:
-    """Smallest n with corr_power_approx(n) >= target (deterministic search)."""
+    """n with corr_power_approx(n) >= target > corr_power_approx(n - 1); plan is not read."""
     if not 0.0 < abs(rho) < 1.0:
         raise ValueError(f"rho must be nonzero and inside (-1, 1), got {rho!r}")
     if not 0.0 < target < 1.0:
         raise ValueError(f"target power must lie inside (0, 1), got {target!r}")
-    lo, hi = 3, 4
-    while corr_power_approx(hi, rho, alpha) < target:
-        if hi >= n_ceiling:
-            raise SearchFailureError(
-                f"no n <= {n_ceiling} reaches power {target} at rho={rho}, alpha={alpha}"
-            )
-        lo = hi
-        hi = min(2 * hi, n_ceiling)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid < 4:
-            lo = mid
-            continue
-        if corr_power_approx(mid, rho, alpha) >= target:
-            hi = mid
-        else:
-            lo = mid
-    n = max(hi, 5)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    q = (normal_quantile(1.0 - 0.5 * alpha) + normal_quantile(target)) / math.atanh(abs(rho))
+    start = max(5, math.ceil(min(q * q + 3.0, n_ceiling)))
+    power = functools.cache(lambda m: corr_power_approx(m, rho, alpha))
+    failure = f"no n <= {n_ceiling} reaches power {target} at rho={rho}, alpha={alpha}"
+    n = _refine_validated(lambda m: power(m) >= target, start, n_ceiling, failure)
     return SampleSizeResult(
         n=n,
         target_power=target,
-        validated_mean=corr_power_approx(n, rho, alpha),
+        validated_mean=power(n),
         validated_sd=0.0,
         route="correlation",
     )

@@ -15,17 +15,19 @@ that n. The fit is closed on e alone, so the effect size enters only the
 final slope estimate.
 
 The sample-size search starts at the correlation route's deterministic
-Fisher-z sample size, which needs no simulation, and settles on the smallest
-n whose validated mean power clears the target minus a slack band (half the
-binomial noise of one power estimate, at most 0.005). Validation replays the
-estimate across plan.reps_outer independent runs of plan.reps_inner trials
-each. Run v has the same task keys at every n, so a search simulates each
-run at each n at most once: run powers are memoized per n, and a full
-validation extends its scout instead of repeating it. A scout that starts a
-fresh n also takes, from the same draws, the runs' t values at the few sizes
-just below n that the refinement steps to next (see _SCOUT_WINDOW), and
-scores them when the search first asks for one of those sizes. Critical
-values are computed only at the sizes the search validates.
+Fisher-z sample size, which needs no simulation, and returns a crossing
+found outward from it: an n whose validated mean power clears the target
+minus a slack band (half the binomial noise of one power estimate, at most
+0.005) while that of n - 1 does not, the smallest such n when the validated
+mean is monotone in n. Validation replays the estimate across
+plan.reps_outer independent runs of plan.reps_inner trials each. Run v has
+the same task keys at every n, so a search simulates each run at each n at
+most once: run powers are memoized per n, and a full validation extends its
+scout instead of repeating it. A scout that starts a fresh n also takes,
+from the same draws, the runs' t values at the few sizes just below n that
+the refinement steps to next (see _SCOUT_WINDOW), and scores them when the
+search first asks for one of those sizes. Critical values are computed only
+at the sizes the search validates.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .critvals import (
     CriticalValueEstimate,
     cached_critical_value,
 )
-from .stochastics import VALIDATION_TASK_BASE, SimPlan, StreamKey, generator, normal_matrix
+from .stochastics import VALIDATION_TASK_BASE, SimPlan, StreamKey, generator
+from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
 
 __all__ = [
     "FitError",
@@ -224,33 +227,42 @@ def _slope_t_prefixes(
 ) -> list[np.ndarray]:
     """t_slope values at every sample size in lengths, one array per size.
 
-    tasks is one run: a range of consecutive task ids, one per trial. The
-    run's predictor x comes from the stream (master_seed, tasks[0],
-    roles[0]) and its noise e from (master_seed, tasks[0], roles[1]), each
-    read as a block with one row per observation and one column per trial;
-    the response is lam * x + e. The run is drawn once, at the largest
-    size, and a smaller size m is its first m rows (common random numbers).
-
-    Rows are read a block of R = max(1, _CHUNK_VARIATES // trials) at a time,
-    so memory is bounded for any n, and each block's sums of x, e, x^2, x*e
-    and e^2 are added to running sums per trial. The value at m adds the
-    first m - kR rows of block k to the running sums of the full blocks
-    below it; since R depends only on the trial count, every result is
-    bit-identical to a draw at m. The fit is closed on e alone: the
-    residuals of y = lam * x + e on x are those of e, so RSS = S_EE -
-    S_XE^2 / S_XX and beta1_hat = lam + S_XE / S_XX, which keeps RSS free of
-    cancellation at any lam. Degenerate trials (zero S_XX or zero RSS, a
-    probability-zero event) are redrawn on their own task id with roles
-    shifted by 2k at retry k.
+    tasks is one run: a range of consecutive task ids, one per trial, fitted
+    by _fit_run on the streams of tasks[0]. A degenerate trial is redrawn by
+    _resample_replicate on its own task id.
     """
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
         raise ValueError("tasks must be a nonempty range of consecutive task ids")
-    trials = len(tasks)
+    fits = _fit_run(lengths, lam, master_seed, int(tasks[0]), tasks.size, roles)
+    for m, (t, bad) in zip(lengths, fits):
+        for i in np.flatnonzero(bad):
+            t[i] = _resample_replicate(m, lam, master_seed, int(tasks[i]), diagnostics, roles)
+    return [t for t, _ in fits]
+
+
+def _fit_run(
+    lengths, lam: float, master_seed: int, task: int, trials: int, roles: tuple[int, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(t_slope, degenerate) per size in lengths, for one run of trials trials.
+
+    x comes from the stream (master_seed, task, roles[0]) and e from
+    (master_seed, task, roles[1]), each read as blocks of R = max(1,
+    _CHUNK_VARIATES // trials) rows, one row per observation and one column
+    per trial, so memory is bounded for any n; the response is lam * x + e.
+    Each block's sums of x, e, x^2, x*e and e^2 are added to running sums,
+    and the value at m adds the first m - kR rows of block k to the sums of
+    the full blocks below it. As R depends only on the trial count, a size
+    m is bit-identical to a run drawn at m (common random numbers). The fit
+    is closed on e alone: the residuals of y on x are those of e, so RSS =
+    S_EE - S_XE^2 / S_XX and beta1_hat = lam + S_XE / S_XX, free of
+    cancellation at any lam. Degenerate trials (zero S_XX or zero RSS, a
+    probability-zero event) are flagged, not redrawn.
+    """
     rows = max(1, _CHUNK_VARIATES // trials)
     n = max(lengths)
-    x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
-    e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
+    x_gen = generator(StreamKey(master_seed, task, roles[0]))
+    e_gen = generator(StreamKey(master_seed, task, roles[1]))
     sums: dict[int, np.ndarray] = {}
     total = np.zeros((5, trials))  # sums over the full blocks read so far
     for start in range(0, n, rows):
@@ -271,16 +283,10 @@ def _slope_t_prefixes(
         sxx = sxx - sx * sx / m
         sxe = sxe - sx * se / m
         see = see - se * se / m
-        bad = sxx == 0.0
-        sxx_safe = np.where(bad, 1.0, sxx)
-        rss = see - sxe * sxe / sxx_safe
-        bad |= rss <= 0.0
-        rss_safe = np.where(bad, 1.0, rss)
-        beta1_hat = lam + sxe / sxx_safe
-        t = beta1_hat * np.sqrt(sxx_safe / (m - 1)) / np.sqrt(rss_safe / (m - 2))
-        for i in np.flatnonzero(bad):
-            t[i] = _resample_replicate(m, lam, master_seed, int(tasks[i]), diagnostics, roles)
-        out.append(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rss = see - sxe * sxe / sxx
+            t = (lam + sxe / sxx) * np.sqrt(sxx / (m - 1)) / np.sqrt(rss / (m - 2))
+        out.append((t, (sxx == 0.0) | (rss <= 0.0)))
     return out
 
 
@@ -294,10 +300,8 @@ def slope_t_batch(
     """t_slope values of one run, one per task id (see _slope_t_prefixes).
 
     tasks must be consecutive; the run's draws are keyed by tasks[0], so
-    runs with disjoint task ranges are independent. Degenerate replicates
-    (zero S_XX or zero RSS, a probability-zero event) are redrawn on shifted
-    stream roles so the batch size stays fixed. Memory is bounded for any
-    n: rows are drawn a block at a time.
+    runs with disjoint task ranges are independent. Memory is bounded for
+    any n, and degenerate replicates are redrawn, so the batch size stays.
     """
     return _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics, _SLOPE_ROLES)[0]
 
@@ -310,17 +314,18 @@ def _resample_replicate(
     diagnostics: SimDiagnostics | None,
     roles: tuple[int, int],
 ) -> float:
-    """t_slope of a replicate redrawn on roles shifted by 2k at retry k."""
-    x_role, e_role = roles
+    """t_slope of a degenerate replicate, redrawn as a one-trial run.
+
+    Retry k is _fit_run of the replicate's own task id alone, with both
+    roles shifted by 2k; the first retry that is not degenerate gives t.
+    """
     for attempt in range(1, _MAX_RETRIES + 1):
         if diagnostics is not None:
             diagnostics.resampled += 1
-        x = normal_matrix(master_seed, (task,), x_role + 2 * attempt, n)[0]
-        e = normal_matrix(master_seed, (task,), e_role + 2 * attempt, n)[0]
-        try:
-            return fit_slope_stats(x, lam * x + e).t_slope
-        except FitError:
-            continue
+        shifted = (roles[0] + 2 * attempt, roles[1] + 2 * attempt)
+        [(t, bad)] = _fit_run((n,), lam, master_seed, task, 1, shifted)
+        if not bad[0]:
+            return t[0]
     raise SearchFailureError(f"replicate {task} stayed degenerate after {_MAX_RETRIES} retries")
 
 
@@ -451,20 +456,21 @@ class _SlopeSearch:
         return self.full_validate(n).mean >= self.threshold
 
 
-def _refine_validated(search: "_SlopeSearch", start: int, n_ceiling: int) -> int:
-    """Smallest n clearing the validated threshold, searched outward from start.
+def _refine_validated(passes, start: int, n_ceiling: int, failure: str) -> int:
+    """An n that passes while n - 1 fails, found outward from start (>= 5).
 
-    Brackets with geometrically growing steps, then bisects; the power curve
-    can be nearly flat around high targets, so stepping one n at a time
-    would need O(band/slope) validations instead of O(log).
+    Steps by 1, 2, 4, ... down while sizes pass (4 counts as failing) or up
+    to n_ceiling while they fail (else SearchFailureError(failure)), then
+    bisects; O(log) calls on a flat power curve. The crossing is the
+    smallest passing n only when passes is monotone in n.
     """
-    if search.passes(start):
+    if passes(start):
         passing = start
         step = 1
         failing = 4
         while passing > 5:
             trial = max(5, passing - step)
-            if search.passes(trial):
+            if passes(trial):
                 passing = trial
                 step *= 2
             else:
@@ -474,19 +480,17 @@ def _refine_validated(search: "_SlopeSearch", start: int, n_ceiling: int) -> int
         failing = start
         step = 1
         while True:
-            trial = failing + step
-            if trial > n_ceiling:
-                raise SearchFailureError(
-                    f"validated power never reached {search.threshold} below n={n_ceiling}"
-                )
-            if search.passes(trial):
+            if failing >= n_ceiling:
+                raise SearchFailureError(failure)
+            trial = min(failing + step, n_ceiling)
+            if passes(trial):
                 passing = trial
                 break
             failing = trial
             step *= 2
     while passing - failing > 1:
         mid = (failing + passing) // 2
-        if search.passes(mid):
+        if passes(mid):
             passing = mid
         else:
             failing = mid
@@ -503,16 +507,15 @@ def find_sample_size_slope(
     critval_plan: SimPlan | None = None,
     n_ceiling: int = 10**6,
 ) -> SampleSizeResult:
-    """Smallest n whose validated mean power clears target minus the slack band.
+    """Sample size whose validated mean power clears target minus the slack band.
 
     Starts at the correlation route's Fisher-z sample size (no simulation)
-    and refines under the validated-mean rule: brackets outward from it with
-    growing steps, then bisects, on validations. The returned mean and sd
-    come from a full validation (plan.reps_outer independent runs) at the
-    final n. Critical values are exact-MC by default, served through the
-    cache; pass critval_plan to control their replication counts. Raises
-    SearchFailureError, before any simulation, when the Fisher-z sample size
-    exceeds n_ceiling.
+    and refines on validations with _refine_validated, so n clears and n - 1
+    does not. The returned mean and sd come from a full validation
+    (plan.reps_outer independent runs) at the final n. Critical values are
+    exact-MC by default, served through the cache; pass critval_plan to
+    control their replication counts. Raises SearchFailureError, before any
+    simulation, when the Fisher-z sample size exceeds n_ceiling.
     """
     if lam == 0.0:
         raise ValueError("effect size must be nonzero")
@@ -520,7 +523,7 @@ def find_sample_size_slope(
         raise ValueError(f"target power must lie inside (0, 1), got {target!r}")
     if critval_plan is None:
         critval_plan = SimPlan(reps_inner=10_000, reps_outer=200, master_seed=plan.master_seed)
-    # imported here: corroute imports the replicate kernel from this module
+    # imported here: corroute imports the replicate kernel and the search from this module
     from .corroute import find_sample_size_corr, lambda_to_rho
 
     # the correlation power is even in rho, which rounds to 1 for |lam| above ~1e8
@@ -533,15 +536,14 @@ def find_sample_size_slope(
             f" for power {target} at lam={lam}, alpha={alpha}"
         ) from None
     search = _SlopeSearch(lam, alpha, target, plan, cache, critval_plan)
-    cand = _refine_validated(search, start, n_ceiling)
+    failure = f"validated power never reached {search.threshold} below n={n_ceiling}"
+    cand = _refine_validated(search.passes, start, n_ceiling, failure)
     final = search.full_validate(cand)
     # a scout can (rarely) pass a candidate the full validation rejects
     while final.mean < search.threshold:
         cand += 1
         if cand > n_ceiling:
-            raise SearchFailureError(
-                f"validated power never reached {search.threshold} below n={n_ceiling}"
-            )
+            raise SearchFailureError(failure)
         final = search.full_validate(cand)
     return SampleSizeResult(
         n=cand,

@@ -119,8 +119,8 @@ def generator(key: StreamKey) -> Generator:
 def normal_matrix(master_seed: int, tasks, stream_id: int, n: int) -> np.ndarray:
     """Standard normals, one row per task id, each row from its own stream.
 
-    Row i is normal_array(StreamKey(master_seed, tasks[i], stream_id), n);
-    the power kernel redraws degenerate replicates with it.
+    Row i is normal_array(StreamKey(master_seed, tasks[i], stream_id), n).
+    Unused in the package; kept while the benchmark tracer wraps it.
     """
     out = np.empty((len(tasks), n))
     for i, task in enumerate(tasks):

@@ -205,6 +205,15 @@ class TestSampleSize:
         assert code == 3
         assert "no n found" in err
 
+    def test_huge_effect_size_needs_the_smallest_n(self, capsys):
+        # lam * lam overflows here; the effect still maps to rho = 1
+        code, out, _ = run_cli(
+            capsys, "samplesize", "--route", "slope", "--alpha", "0.05", "--power", "0.9",
+            "--lambda", "1e200", "--fast", "--seed", "1",
+        )
+        assert code == 0
+        assert out.startswith("n=5 ")
+
     def test_unreachable_slope_target_fails_without_simulating(self, capsys):
         # the Fisher-z start (about 1.8e7) is past the default ceiling of 1e6
         code, out, err = run_cli(

@@ -1,6 +1,7 @@
 """Effect-size/correlation bridge, correlation-test power, and the contrast."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from slopesize import corroute
 from slopesize.corroute import (
     contrast_table,
     corr_power_approx,
@@ -83,6 +85,17 @@ class TestBridge:
 
     def test_limit_behavior(self):
         assert lambda_to_rho(100.0) > 0.9999
+
+    def test_huge_effect_maps_to_unit_correlation(self):
+        # lam * lam overflows above ~1.3e154, where rho is 1 to far below an ulp
+        assert lambda_to_rho(1e200) == 1.0
+        assert lambda_to_rho(-1e200) == -1.0
+        assert lambda_to_rho(sys.float_info.max) == 1.0
+
+    @given(st.floats(-1.34e154, 1.34e154))
+    @settings(max_examples=500)
+    def test_formula_kept_where_the_square_is_finite(self, lam):
+        assert lambda_to_rho(lam) == lam / math.sqrt(1.0 + lam * lam)
 
     def test_inverse_spot(self):
         assert rho_to_lambda(0.4472) == pytest.approx(0.5, abs=1e-3)
@@ -223,6 +236,29 @@ class TestFindSampleSizeCorr:
         assert corr_power_approx(res.n, 0.3714, 0.05) >= 0.90
         if res.n > 5:
             assert corr_power_approx(res.n - 1, 0.3714, 0.05) < 0.90
+
+    def test_search_starts_near_the_answer(self, monkeypatch):
+        # the closed-form Fisher-z start lands next to the answer, so the
+        # 72 table cells need few power evaluations (a doubling search from
+        # n = 4 made 1,040)
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return corr_power_approx(*args)
+
+        monkeypatch.setattr(corroute, "corr_power_approx", counting)
+        plan = SimPlan(master_seed=SEED)
+        for alpha, cells in CORR_N_PINNED.items():
+            for lam in cells:
+                for target in TARGETS:
+                    find_sample_size_corr(lambda_to_rho(lam), alpha, target, plan)
+        assert calls[0] <= 300
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0, 1.5])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+            find_sample_size_corr(0.3, alpha, 0.8, SimPlan(master_seed=SEED))
 
     def test_rejects_zero_rho(self):
         with pytest.raises(ValueError):

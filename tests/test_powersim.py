@@ -32,7 +32,6 @@ from slopesize.stochastics import (
     SimPlan,
     StreamKey,
     generator,
-    normal_array,
 )
 
 SEED = 20260808
@@ -211,10 +210,10 @@ class TestSimulatePowerSlope:
         assert diag.resampled == len(lengths)
         for m, t_vals in zip(lengths, cut):
             assert t_vals.tobytes() == slope_t_batch(m, 0.3, SEED, tasks).tobytes()
-        # the retry redraws trial 200 on its own task id, 700, at roles 102/103
-        x = normal_array(StreamKey(SEED, 700, 102), 30)
-        e = normal_array(StreamKey(SEED, 700, 103), 30)
-        assert cut[0][200] == fit_slope_stats(x, 0.3 * x + e).t_slope
+        # the retry redraws trial 200 as a one-trial run on its own task id,
+        # 700, at roles 102/103
+        redrawn = powersim._slope_t_prefixes((30,), 0.3, SEED, (700,), None, (102, 103))
+        assert cut[0][200] == redrawn[0][0]
 
     def test_diagnostics_counter_untouched_on_clean_runs(self):
         diag = SimDiagnostics()
@@ -282,6 +281,30 @@ class TestSlopeTBatch:
         t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000), diagnostics)
         assert diagnostics.resampled == 0
         assert np.all(np.isfinite(t_vals))
+
+    @pytest.mark.parametrize("lam", [1e6, 1e9])
+    def test_redrawn_trial_is_a_one_trial_kernel_run(self, constant_column, lam):
+        # a degenerate trial is refitted on the kernel's own running sums, so
+        # the retry keeps the kernel's accuracy at any lam
+        constant_column(3, powersim._X_STREAM)
+        diagnostics = SimDiagnostics()
+        t_vals = slope_t_batch(20, lam, 1, np.arange(8), diagnostics)
+        assert diagnostics.resampled == 1
+        redrawn = powersim._slope_t_prefixes((20,), lam, 1, (3,), None, (102, 103))
+        assert t_vals[3] == redrawn[0][0]
+
+    def test_retries_stop_at_their_limit(self, monkeypatch):
+        # every stream constant: each retry is degenerate too, and the
+        # redraws end after _MAX_RETRIES instead of going on
+        class Ones:
+            def standard_normal(self, shape):
+                return np.ones(shape)
+
+        monkeypatch.setattr(powersim, "generator", lambda key: Ones())
+        diagnostics = SimDiagnostics()
+        with pytest.raises(SearchFailureError, match="replicate 4 stayed degenerate after 64"):
+            slope_t_batch(10, 0.3, 1, np.arange(4, 8), diagnostics)
+        assert diagnostics.resampled == powersim._MAX_RETRIES
 
     def test_tasks_must_be_consecutive(self):
         for tasks in ([0, 1, 3], [5, 4, 3], [], np.array([[0, 1], [2, 3]])):
@@ -403,6 +426,44 @@ class TestFindSampleSize:
             )
         assert calls["cached_critical_value"] == 0
         assert calls["_slope_t_prefixes"] == 0
+
+
+class TestRefineValidated:
+    """The one sample-size search, on a synthetic monotone predicate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ceiling=st.integers(5, 10**6), data=st.data())
+    def test_returns_the_threshold(self, ceiling, data):
+        threshold = data.draw(st.integers(5, ceiling), label="threshold")
+        start = data.draw(st.integers(5, 2 * ceiling), label="start")
+        asked = []
+
+        def passes(n):
+            asked.append(n)
+            return n >= threshold
+
+        assert powersim._refine_validated(passes, start, ceiling, "unused") == threshold
+        assert min(asked) >= 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(ceiling=st.integers(5, 10**6), data=st.data())
+    def test_raises_past_the_ceiling(self, ceiling, data):
+        threshold = data.draw(st.integers(ceiling + 1, 3 * ceiling), label="threshold")
+        start = data.draw(st.integers(5, ceiling), label="start")
+        asked = []
+
+        def passes(n):
+            asked.append(n)
+            return n >= threshold
+
+        with pytest.raises(SearchFailureError, match="^nothing passes$"):
+            powersim._refine_validated(passes, start, ceiling, "nothing passes")
+        assert max(asked) <= ceiling
+
+    def test_step_up_stops_at_the_ceiling(self):
+        # from 5 the steps go to 6 and then 8; the ceiling 7 is tried instead
+        # of failing the search for stepping past it
+        assert powersim._refine_validated(lambda n: n >= 7, 5, 7, "unused") == 7
 
 
 class TestPowerTable:
