@@ -13,6 +13,7 @@ y = rho * x + sqrt(1 - rho^2) * z is lam * x + z up to a positive factor,
 which leaves the slope t statistic T unchanged, and on every sample the
 correlation statistic is T1 = sqrt(n - 1) * T. Only the stream roles differ:
 a run's x and z blocks come from roles 200 and 201 under its first task id.
+A degenerate replicate fails the run with the kernel's SearchFailureError.
 
 The route's sample size is the slope route's search (_refine_validated) on
 the Fisher-z power, started at ceil(((z_{1-alpha/2} + z_target) /
@@ -33,7 +34,6 @@ from .distmath import normal_cdf, normal_quantile, t_quantile
 from .powersim import (
     PowerEstimate,
     SampleSizeResult,
-    SimDiagnostics,
     _refine_validated,
     _slope_t_prefixes,
 )
@@ -50,8 +50,7 @@ __all__ = [
     "contrast_table",
 ]
 
-# stream roles (x, z) of one correlation run; the retry k of a degenerate
-# replicate shifts both by 2k
+# stream roles (x, z) of one correlation run
 _CORR_ROLES = (200, 201)
 
 
@@ -103,34 +102,22 @@ def corr_power_approx(n: int, rho: float, alpha: float) -> float:
     return normal_cdf((z_r - z_rc) * s) + normal_cdf((-z_r - z_rc) * s)
 
 
-def corr_t1_batch(
-    n: int,
-    rho: float,
-    master_seed: int,
-    tasks,
-    diagnostics: SimDiagnostics | None = None,
-) -> np.ndarray:
+def corr_t1_batch(n: int, rho: float, master_seed: int, tasks) -> np.ndarray:
     """T1 statistics of one run of bivariate-normal replicates, one per task id.
 
     tasks must be consecutive. Replicate i takes column i of the run's x and
     z blocks, read from the streams (master_seed, tasks[0], 200) and
     (master_seed, tasks[0], 201), and y = rho * x + sqrt(1 - rho^2) * z.
     Memory is bounded for any n: the slope kernel reads a block of rows at
-    a time. Degenerate replicates are redrawn on their own task id with
-    shifted stream roles.
+    a time. n must be at least 4 (else ValueError), and a degenerate
+    replicate raises SearchFailureError.
     """
     lam = rho_to_lambda(rho)
-    t = _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics, _CORR_ROLES)[0]
+    t = _slope_t_prefixes((n,), lam, master_seed, tasks, _CORR_ROLES)[0]
     return math.sqrt(n - 1) * t
 
 
-def corr_power_mc(
-    n: int,
-    rho: float,
-    alpha: float,
-    plan: SimPlan,
-    diagnostics: SimDiagnostics | None = None,
-) -> PowerEstimate:
+def corr_power_mc(n: int, rho: float, alpha: float, plan: SimPlan) -> PowerEstimate:
     """Monte Carlo power of the correlation t test |T1| > t_{1-alpha/2, n-2}."""
     if n < 4:
         raise ValueError(f"n must be at least 4, got {n!r}")
@@ -138,7 +125,7 @@ def corr_power_mc(
         raise ValueError(f"rho must lie strictly inside (-1, 1), got {rho!r}")
     crit = t_quantile(1.0 - 0.5 * alpha, n - 2)
     reps = plan.reps_inner
-    t1 = corr_t1_batch(n, rho, plan.master_seed, np.arange(reps), diagnostics)
+    t1 = corr_t1_batch(n, rho, plan.master_seed, np.arange(reps))
     power = float(np.count_nonzero(np.abs(t1) > crit)) / reps
     sd = math.sqrt(power * (1.0 - power) / reps)
     return PowerEstimate(n=n, alpha=alpha, lam=rho_to_lambda(rho), power=power, sd=sd)

@@ -12,7 +12,9 @@ free: the draws at a smaller n are the first rows of the draws at a larger
 n, and running sums of x, e, x^2, x*e and e^2 are added block by block so
 that the t values cut at a smaller n are bit-identical to a run drawn at
 that n. The fit is closed on e alone, so the effect size enters only the
-final slope estimate.
+final slope estimate. A degenerate trial (S_XX = 0 or RSS <= 0, a
+probability-zero event) fails the run with SearchFailureError, which names
+the trial's task id and n.
 
 The sample-size search starts at the correlation route's deterministic
 Fisher-z sample size, which needs no simulation, and returns a crossing
@@ -55,7 +57,6 @@ __all__ = [
     "FitStats",
     "PowerEstimate",
     "SampleSizeResult",
-    "SimDiagnostics",
     "fit_slope_stats",
     "simulate_power_slope",
     "find_sample_size_slope",
@@ -74,13 +75,11 @@ def _search_slack(target: float, trials: int) -> float:
     return min(POWER_SLACK, 0.5 * math.sqrt(target * (1.0 - target) / trials))
 
 
-# stream roles (predictor, noise) of one slope run; the retry k of a
-# degenerate trial shifts both by 2k. The correlation route passes its own
-# pair to the same kernel.
+# stream roles (predictor, noise) of one slope run; the correlation route
+# passes its own pair to the same kernel
 _X_STREAM = 100
 _EPS_STREAM = 101
 _SLOPE_ROLES = (_X_STREAM, _EPS_STREAM)
-_MAX_RETRIES = 64
 
 # variates per block array: a run is read max(1, _CHUNK_VARIATES // trials)
 # observations at a time and each block's sums are added to running sums,
@@ -111,7 +110,7 @@ class SpreadUnderflowError(FitError):
 
 
 class SearchFailureError(RuntimeError):
-    """Sample-size search exceeded its ceiling without reaching the target."""
+    """A search passed its ceiling short of the target, or a trial was degenerate."""
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,6 @@ class SampleSizeResult:
     validated_mean: float
     validated_sd: float
     route: str
-
-
-@dataclass
-class SimDiagnostics:
-    """Counters for rare events during simulation."""
-
-    resampled: int = 0
 
 
 def fit_slope_stats(xs, ys) -> FitStats:
@@ -218,36 +210,13 @@ def _block_sums(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _slope_t_prefixes(
-    lengths,
-    lam: float,
-    master_seed: int,
-    tasks,
-    diagnostics: SimDiagnostics | None,
-    roles: tuple[int, int],
+    lengths, lam: float, master_seed: int, tasks, roles: tuple[int, int]
 ) -> list[np.ndarray]:
     """t_slope values at every sample size in lengths, one array per size.
 
-    tasks is one run: a range of consecutive task ids, one per trial, fitted
-    by _fit_run on the streams of tasks[0]. A degenerate trial is redrawn by
-    _resample_replicate on its own task id.
-    """
-    tasks = np.asarray(tasks, dtype=np.int64)
-    if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
-        raise ValueError("tasks must be a nonempty range of consecutive task ids")
-    fits = _fit_run(lengths, lam, master_seed, int(tasks[0]), tasks.size, roles)
-    for m, (t, bad) in zip(lengths, fits):
-        for i in np.flatnonzero(bad):
-            t[i] = _resample_replicate(m, lam, master_seed, int(tasks[i]), diagnostics, roles)
-    return [t for t, _ in fits]
-
-
-def _fit_run(
-    lengths, lam: float, master_seed: int, task: int, trials: int, roles: tuple[int, int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(t_slope, degenerate) per size in lengths, for one run of trials trials.
-
-    x comes from the stream (master_seed, task, roles[0]) and e from
-    (master_seed, task, roles[1]), each read as blocks of R = max(1,
+    tasks is one run: a range of consecutive task ids, one per trial. x
+    comes from the stream (master_seed, tasks[0], roles[0]) and e from
+    (master_seed, tasks[0], roles[1]), each read as blocks of R = max(1,
     _CHUNK_VARIATES // trials) rows, one row per observation and one column
     per trial, so memory is bounded for any n; the response is lam * x + e.
     Each block's sums of x, e, x^2, x*e and e^2 are added to running sums,
@@ -256,13 +225,21 @@ def _fit_run(
     m is bit-identical to a run drawn at m (common random numbers). The fit
     is closed on e alone: the residuals of y on x are those of e, so RSS =
     S_EE - S_XE^2 / S_XX and beta1_hat = lam + S_XE / S_XX, free of
-    cancellation at any lam. Degenerate trials (zero S_XX or zero RSS, a
-    probability-zero event) are flagged, not redrawn.
+    cancellation at any lam. A degenerate trial (zero S_XX or zero RSS, a
+    probability-zero event) raises SearchFailureError naming its task id.
     """
+    tasks = np.asarray(tasks, dtype=np.int64)
+    if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
+        raise ValueError("tasks must be a nonempty range of consecutive task ids")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+    if min(lengths) < 4:
+        raise ValueError(f"n must be at least 4, got {min(lengths)!r}")
+    trials = tasks.size
     rows = max(1, _CHUNK_VARIATES // trials)
     n = max(lengths)
-    x_gen = generator(StreamKey(master_seed, task, roles[0]))
-    e_gen = generator(StreamKey(master_seed, task, roles[1]))
+    x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
+    e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
     sums: dict[int, np.ndarray] = {}
     total = np.zeros((5, trials))  # sums over the full blocks read so far
     for start in range(0, n, rows):
@@ -286,47 +263,25 @@ def _fit_run(
         with np.errstate(divide="ignore", invalid="ignore"):
             rss = see - sxe * sxe / sxx
             t = (lam + sxe / sxx) * np.sqrt(sxx / (m - 1)) / np.sqrt(rss / (m - 2))
-        out.append((t, (sxx == 0.0) | (rss <= 0.0)))
+        bad = (sxx == 0.0) | (rss <= 0.0)
+        if bad.any():
+            task = int(tasks[np.argmax(bad)])
+            raise SearchFailureError(
+                f"the trial of task id {task} is degenerate at n={m} (S_XX = 0 or RSS <= 0)"
+            )
+        out.append(t)
     return out
 
 
-def slope_t_batch(
-    n: int,
-    lam: float,
-    master_seed: int,
-    tasks: np.ndarray,
-    diagnostics: SimDiagnostics | None = None,
-) -> np.ndarray:
+def slope_t_batch(n: int, lam: float, master_seed: int, tasks: np.ndarray) -> np.ndarray:
     """t_slope values of one run, one per task id (see _slope_t_prefixes).
 
     tasks must be consecutive; the run's draws are keyed by tasks[0], so
     runs with disjoint task ranges are independent. Memory is bounded for
-    any n, and degenerate replicates are redrawn, so the batch size stays.
+    any n. n must be at least 4 and lam finite (else ValueError), and a
+    degenerate trial raises SearchFailureError.
     """
-    return _slope_t_prefixes((n,), lam, master_seed, tasks, diagnostics, _SLOPE_ROLES)[0]
-
-
-def _resample_replicate(
-    n: int,
-    lam: float,
-    master_seed: int,
-    task: int,
-    diagnostics: SimDiagnostics | None,
-    roles: tuple[int, int],
-) -> float:
-    """t_slope of a degenerate replicate, redrawn as a one-trial run.
-
-    Retry k is _fit_run of the replicate's own task id alone, with both
-    roles shifted by 2k; the first retry that is not degenerate gives t.
-    """
-    for attempt in range(1, _MAX_RETRIES + 1):
-        if diagnostics is not None:
-            diagnostics.resampled += 1
-        shifted = (roles[0] + 2 * attempt, roles[1] + 2 * attempt)
-        [(t, bad)] = _fit_run((n,), lam, master_seed, task, 1, shifted)
-        if not bad[0]:
-            return t[0]
-    raise SearchFailureError(f"replicate {task} stayed degenerate after {_MAX_RETRIES} retries")
+    return _slope_t_prefixes((n,), lam, master_seed, tasks, _SLOPE_ROLES)[0]
 
 
 def simulate_power_slope(
@@ -337,7 +292,6 @@ def simulate_power_slope(
     reps: int,
     master_seed: int,
     task_base: int = 0,
-    diagnostics: SimDiagnostics | None = None,
 ) -> PowerEstimate:
     """Rejection rate of |t_slope| > c.value over reps simulated samples.
 
@@ -350,7 +304,7 @@ def simulate_power_slope(
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps!r}")
     tasks = np.arange(task_base, task_base + reps, dtype=np.int64)
-    t_vals = slope_t_batch(n, lam, master_seed, tasks, diagnostics)
+    t_vals = slope_t_batch(n, lam, master_seed, tasks)
     power = float(np.count_nonzero(np.abs(t_vals) > c.value)) / reps
     sd = math.sqrt(power * (1.0 - power) / reps)
     return PowerEstimate(n=n, alpha=alpha, lam=lam, power=power, sd=sd)
@@ -383,7 +337,6 @@ class _SlopeSearch:
         self.critval_plan = critval_plan
         self.threshold = target - _search_slack(target, plan.reps_inner)
         self.scout_runs = min(50, plan.reps_outer)
-        self.diagnostics = SimDiagnostics()
         # powers of validation runs 0, 1, ... at each n; lists only grow
         self._powers: dict[int, list[float]] = {}
         # |t| of the scout runs a fresh scout drew for a size below it, kept
@@ -418,7 +371,7 @@ class _SlopeSearch:
             base = VALIDATION_TASK_BASE + v * trials
             tasks = np.arange(base, base + trials, dtype=np.int64)
             t_n, *t_window = _slope_t_prefixes(
-                lengths, self.lam, self.plan.master_seed, tasks, self.diagnostics, _SLOPE_ROLES
+                lengths, self.lam, self.plan.master_seed, tasks, _SLOPE_ROLES
             )
             powers.append(np.count_nonzero(np.abs(t_n) > c) / trials)
             for m, t_vals in zip(window, t_window):

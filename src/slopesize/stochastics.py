@@ -17,12 +17,11 @@ every routine without collisions between subsystems):
     0-3       chi-square factors W1..W4 of the null T^2 ratio
     100       predictor block of a slope-power run (first task id)
     101       noise block of a slope-power run (first task id)
-    102+2k    predictor of retry k of a degenerate slope replicate (its task id)
-    103+2k    noise of retry k of a degenerate slope replicate (its task id)
     200       predictor block of a correlation-power run (first task id)
     201       second normal factor block of a correlation-power run
-    202+2k    predictor of retry k of a degenerate correlation replicate
-    203+2k    second factor of retry k of a degenerate correlation replicate
+
+A degenerate replicate (S_XX = 0 or RSS <= 0) is never redrawn: it fails
+its run, so no other stream id is read.
 
 Validation runs in the sample-size search shift task ids by
 VALIDATION_TASK_BASE. This separates them from simulate_power_slope runs at

@@ -135,6 +135,29 @@ class TestPower:
         assert code == 0
         assert json.loads(out)["power"] == pytest.approx(0.9095, abs=0.05)
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_nonfinite_lambda_is_usage_error(self, capsys, lam):
+        code, out, err = run_cli(
+            capsys, "power", "--route", "slope", "--n", "30", "--lambda", lam,
+            "--alpha", "0.05", "--fast", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "lam must be finite" in err
+
+    @pytest.mark.parametrize("route, role", [
+        (["--route", "slope", "--lambda", "0.5"], 100),
+        (["--route", "corr", "--mc", "--rho", "0.4"], 200),
+    ], ids=["slope", "corr"])
+    def test_degenerate_trial_is_numerical_failure(self, capsys, constant_column, route, role):
+        constant_column(3, role)
+        code, out, err = run_cli(
+            capsys, "power", *route, "--n", "30", "--alpha", "0.05", "--fast", "--seed", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "task id 3 is degenerate at n=30" in err
+
     def test_fixed_route_missing_params(self, capsys):
         code, _, err = run_cli(
             capsys, "power", "--route", "fixed", "--n", "20", "--alpha", "0.05"

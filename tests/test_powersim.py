@@ -19,7 +19,6 @@ from slopesize.powersim import (
     FitError,
     PerfectFitError,
     SearchFailureError,
-    SimDiagnostics,
     SpreadUnderflowError,
     find_sample_size_slope,
     fit_slope_stats,
@@ -194,32 +193,18 @@ class TestSimulatePowerSlope:
         b = simulate_power_slope(60, 0.5, 0.05, c, reps=20_000, master_seed=SEED)
         assert a == b
 
-    def test_common_random_numbers_share_draws(self, constant_column):
+    def test_common_random_numbers_share_draws(self):
         c30 = exact_null_critval(30, 0.05)
         one = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         two = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         assert one == two
         # draws at a smaller n are a prefix of the draws at a larger n: the t
-        # values cut from one draw at 30 equal a draw at each shorter size,
-        # also for a trial whose constant predictor is degenerate at all
-        constant_column(200, powersim._X_STREAM)
+        # values cut from one draw at 30 equal a draw at each shorter size
         tasks = np.arange(500, 1_500, dtype=np.int64)
         lengths = (30, 29, 27, 5)
-        diag = SimDiagnostics()
-        cut = powersim._slope_t_prefixes(lengths, 0.3, SEED, tasks, diag, powersim._SLOPE_ROLES)
-        assert diag.resampled == len(lengths)
+        cut = powersim._slope_t_prefixes(lengths, 0.3, SEED, tasks, powersim._SLOPE_ROLES)
         for m, t_vals in zip(lengths, cut):
             assert t_vals.tobytes() == slope_t_batch(m, 0.3, SEED, tasks).tobytes()
-        # the retry redraws trial 200 as a one-trial run on its own task id,
-        # 700, at roles 102/103
-        redrawn = powersim._slope_t_prefixes((30,), 0.3, SEED, (700,), None, (102, 103))
-        assert cut[0][200] == redrawn[0][0]
-
-    def test_diagnostics_counter_untouched_on_clean_runs(self):
-        diag = SimDiagnostics()
-        c = exact_null_critval(20, 0.05)
-        simulate_power_slope(20, 0.2, 0.05, c, reps=2_000, master_seed=SEED, diagnostics=diag)
-        assert diag.resampled == 0
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -251,7 +236,7 @@ class TestSlopeTBatch:
         monkeypatch.setattr(powersim, "_CHUNK_VARIATES", 1_000)
         tasks = np.arange(40, 140, dtype=np.int64)
         lengths = (37, 30, 29, 21, 20, 11, 10, 9, 5)
-        cut = powersim._slope_t_prefixes(lengths, 0.4, SEED, tasks, None, powersim._SLOPE_ROLES)
+        cut = powersim._slope_t_prefixes(lengths, 0.4, SEED, tasks, powersim._SLOPE_ROLES)
         for m, t_vals in zip(lengths, cut):
             assert t_vals.tobytes() == slope_t_batch(m, 0.4, SEED, tasks).tobytes()
 
@@ -277,34 +262,37 @@ class TestSlopeTBatch:
         assert t_vals == pytest.approx(expected, rel=1e-12)
 
     def test_huge_effect_needs_no_resample(self):
-        diagnostics = SimDiagnostics()
-        t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000), diagnostics)
-        assert diagnostics.resampled == 0
+        t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000))
         assert np.all(np.isfinite(t_vals))
 
-    @pytest.mark.parametrize("lam", [1e6, 1e9])
-    def test_redrawn_trial_is_a_one_trial_kernel_run(self, constant_column, lam):
-        # a degenerate trial is refitted on the kernel's own running sums, so
-        # the retry keeps the kernel's accuracy at any lam
-        constant_column(3, powersim._X_STREAM)
-        diagnostics = SimDiagnostics()
-        t_vals = slope_t_batch(20, lam, 1, np.arange(8), diagnostics)
-        assert diagnostics.resampled == 1
-        redrawn = powersim._slope_t_prefixes((20,), lam, 1, (3,), None, (102, 103))
-        assert t_vals[3] == redrawn[0][0]
+    @pytest.mark.parametrize(
+        "batch, role, lam",
+        [
+            (slope_t_batch, powersim._X_STREAM, 0.4),
+            (slope_t_batch, powersim._X_STREAM, 1e6),
+            (slope_t_batch, powersim._X_STREAM, 1e9),
+            (corr_t1_batch, 200, 0.4),
+        ],
+        ids=["slope", "slope-1e6", "slope-1e9", "corr"],
+    )
+    def test_degenerate_trial_raises(self, constant_column, batch, role, lam):
+        # a constant predictor makes trial 3 (task id 7) degenerate, which
+        # fails the whole run; S_XX is exactly 0 however large lam is
+        constant_column(3, role)
+        with pytest.raises(SearchFailureError, match=r"task id 7 is degenerate at n=20 "):
+            batch(20, lam, SEED, np.arange(4, 12))
 
-    def test_retries_stop_at_their_limit(self, monkeypatch):
-        # every stream constant: each retry is degenerate too, and the
-        # redraws end after _MAX_RETRIES instead of going on
-        class Ones:
-            def standard_normal(self, shape):
-                return np.ones(shape)
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            slope_t_batch(20, lam, SEED, np.arange(100))
 
-        monkeypatch.setattr(powersim, "generator", lambda key: Ones())
-        diagnostics = SimDiagnostics()
-        with pytest.raises(SearchFailureError, match="replicate 4 stayed degenerate after 64"):
-            slope_t_batch(10, 0.3, 1, np.arange(4, 8), diagnostics)
-        assert diagnostics.resampled == powersim._MAX_RETRIES
+    @pytest.mark.parametrize("batch", [slope_t_batch, corr_t1_batch], ids=["slope", "corr"])
+    def test_rejects_n_below_4(self, batch):
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match=f"n must be at least 4, got {n}"):
+                batch(n, 0.3, SEED, np.arange(100))
+        assert np.all(np.isfinite(batch(4, 0.3, SEED, np.arange(100))))
 
     def test_tasks_must_be_consecutive(self):
         for tasks in ([0, 1, 3], [5, 4, 3], [], np.array([[0, 1], [2, 3]])):
@@ -345,10 +333,10 @@ class TestFindSampleSize:
         drawn = collections.Counter()
         kernel = powersim._slope_t_prefixes
 
-        def counting_kernel(lengths, lam, master_seed, tasks, diagnostics, roles):
+        def counting_kernel(lengths, lam, master_seed, tasks, roles):
             if tasks[0] >= VALIDATION_TASK_BASE:
                 drawn[max(lengths), int(tasks[0])] += 1
-            return kernel(lengths, lam, master_seed, tasks, diagnostics, roles)
+            return kernel(lengths, lam, master_seed, tasks, roles)
 
         monkeypatch.setattr(powersim, "_slope_t_prefixes", counting_kernel)
         res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=cv_plan)
