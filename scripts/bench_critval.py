@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Speed of the exact-MC critical values, before and after a change.
 
-Measures three layers, each in a fresh process per side and pair, with the
+Measures four layers, each in a fresh process per side and pair, with the
 sides alternating (ABAB, then BABA) so that drift of the host's speed falls
 on both:
 
@@ -13,10 +13,15 @@ on both:
   search      the full-fidelity search cell `slopesize samplesize --route
               slope --lambda 0.5 --alpha 0.05 --power 0.90 --seed 1`, its
               total CPU seconds and the seconds spent inside the critical
-              values it computes (no cache file).
+              values it computes (no cache file);
+  levels      the three Table 1 levels at one n, `slopesize critval --n 30
+              --alpha 0.10|0.05|0.01 --method exact --seed 1`, run one after
+              the other in the measuring process, their total CPU seconds.
+              Exact-MC estimates kept in process from the commands before
+              are dropped first, so the first level draws afresh.
 
 Times are time.process_time() of the measuring process. Each side's stdout
-of the two commands is recorded, and the script fails if the sides print
+of the commands is recorded, and the script fails if the sides print
 different bytes: the change must leave seeded output as it was.
 
 Usage:
@@ -57,7 +62,9 @@ CHISQ_DFS = (1, 29, 48, 2400)
 CRITVAL_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", "--seed", "1"]
 SEARCH_ARGV = ["samplesize", "--route", "slope", "--lambda", "0.5", "--alpha", "0.05",
                "--power", "0.90", "--seed", "1"]
-TIMES = ("critval_request_s", "search_cell_s", "search_critval_s")
+LEVELS_ARGV = [["critval", "--n", "30", "--alpha", alpha, "--method", "exact", "--seed", "1"]
+               for alpha in ("0.10", "0.05", "0.01")]
+TIMES = ("critval_request_s", "search_cell_s", "search_critval_s", "levels_s")
 PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
 FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": []}
@@ -81,7 +88,7 @@ def run_cli(cli, argv: list[str]) -> tuple[float, str]:
 
 def measure(sizes: dict) -> dict:
     """One measurement of every layer with the slopesize found on sys.path."""
-    from slopesize import cli, powersim
+    from slopesize import cli, critvals, powersim
     from slopesize.stochastics import StreamKey, chisq_array
 
     chisq = {}
@@ -113,13 +120,20 @@ def measure(sizes: dict) -> dict:
         search_s, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
     finally:
         powersim.cached_critical_value = inner
+
+    # the critval request above kept n = 30 at seed 1 in process, where the
+    # measured tree keeps exact-MC estimates at all
+    getattr(critvals, "_MC_MEMO", {}).clear()
+    levels = [run_cli(cli, argv + sizes["reps"]) for argv in LEVELS_ARGV]
     return {
         "chisq_us_per_10k": chisq,
         "critval_request_s": round(critval_s, 3),
         "search_cell_s": round(search_s, 3),
         "search_critval_s": round(spent["s"], 3),
         "search_critval_calls": spent["calls"],
-        "stdout": {"critval": critval_out, "search": search_out},
+        "levels_s": round(sum(s for s, _ in levels), 3),
+        "stdout": {"critval": critval_out, "search": search_out,
+                   "levels": "".join(out for _, out in levels)},
     }
 
 
@@ -239,13 +253,16 @@ def main(argv=None) -> int:
         Path(__file__).resolve(), args.baseline, pairs, args.quick)
     report = {
         "benchmark": "exact-MC critical values: chi-square sampler, one critval request, "
-                     "critical values inside one slope search",
+                     "critical values inside one slope search, three levels at one n",
         "timer": "time.process_time of a fresh process per side and pair, sides alternating",
         "quick": args.quick,
         "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS)},
         "commands": {"critval": "slopesize " + " ".join(CRITVAL_ARGV + sizes["reps"]),
-                     "search": "slopesize " + " ".join(SEARCH_ARGV + sizes["reps"])},
-        "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys", "critval": 1, "search": 1},
+                     "search": "slopesize " + " ".join(SEARCH_ARGV + sizes["reps"]),
+                     "levels": ["slopesize " + " ".join(argv + sizes["reps"])
+                                for argv in LEVELS_ARGV]},
+        "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys", "critval": 1, "search": 1,
+                  "levels": 1},
         "machine": machine(),
         "stdout": first,
         "outputs_identical": identical,

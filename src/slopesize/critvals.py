@@ -13,8 +13,12 @@ Both routes reproduce Table 1; neither is the data null law, under which
 T * sqrt(n-1) ~ t(n-2). At the ratio-law values the test is slightly
 conservative (size about 0.040 at alpha = 0.05, n = 30).
 
-A small text-file cache keyed on (n, alpha, reps_inner, reps_outer,
-master_seed) avoids recomputing exact-MC values during sample-size searches.
+Every exact-MC estimate is kept in process, keyed by (n, alpha, plan), and
+a miss draws the paper's three levels (TABLE1_LEVELS) along with the asked
+ones, so one set of draws at (n, plan) serves every level. The memo lives
+only as long as the process, so it can never be stale across code versions.
+Reuse across processes rests on a small text-file cache keyed on (n, alpha,
+reps_inner, reps_outer, master_seed), which sample-size searches read first.
 """
 
 from __future__ import annotations
@@ -39,12 +43,16 @@ __all__ = [
     "critical_values_mc_multi",
     "table1",
     "TABLE1_COLUMNS",
+    "TABLE1_LEVELS",
     "CriticalValueCache",
     "cached_critical_value",
 ]
 
 EXACT_MC = "exact_mc"
 NORMAL_APPROX = "normal_approx"
+
+# the paper's Table 1 levels; every exact-MC miss estimates these as well
+TABLE1_LEVELS = (0.10, 0.05, 0.01)
 
 TABLE1_COLUMNS = [
     "samplesize",
@@ -76,6 +84,10 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+# exact-MC estimates made in this process, keyed by (n, alpha, plan)
+_MC_MEMO: dict[tuple[int, float, SimPlan], CriticalValueEstimate] = {}
+
+
 def critical_values_mc_multi(
     n: int, alphas: list[float], plan: SimPlan
 ) -> list[CriticalValueEstimate]:
@@ -84,31 +96,38 @@ def critical_values_mc_multi(
     The T^2 draws are keyed by (master_seed, outer index) only, so the
     levels share draws and the result for each alpha is identical to a
     standalone critical_value_mc call with the same plan.
+
+    Each estimate is kept for the life of the process, keyed by (n, alpha,
+    plan); a request whose levels are all kept makes no draws. A miss runs
+    the replicate loop once for the asked levels together with
+    TABLE1_LEVELS and keeps every estimate it makes. The memo is gone when
+    the process ends, so it can never be stale across code versions;
+    CriticalValueCache is what carries estimates from one process to the
+    next.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")
     alphas = [_check_alpha(a) for a in alphas]
-    roots = np.empty((len(alphas), plan.reps_outer))
-    for j in range(plan.reps_outer):
-        draws = t2_null_draws(
-            StreamKey(plan.master_seed, j), n, plan.reps_inner
-        )
-        draws.sort()
-        for i, alpha in enumerate(alphas):
-            roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
-    out = []
-    for i, alpha in enumerate(alphas):
-        sd = float(np.std(roots[i], ddof=1)) if plan.reps_outer > 1 else 0.0
-        out.append(
-            CriticalValueEstimate(
+    if any((n, a, plan) not in _MC_MEMO for a in alphas):
+        levels = list(dict.fromkeys([*alphas, *TABLE1_LEVELS]))
+        roots = np.empty((len(levels), plan.reps_outer))
+        for j in range(plan.reps_outer):
+            draws = t2_null_draws(
+                StreamKey(plan.master_seed, j), n, plan.reps_inner
+            )
+            draws.sort()
+            for i, alpha in enumerate(levels):
+                roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
+        for i, alpha in enumerate(levels):
+            sd = float(np.std(roots[i], ddof=1)) if plan.reps_outer > 1 else 0.0
+            _MC_MEMO[(n, alpha, plan)] = CriticalValueEstimate(
                 n=n,
                 alpha=alpha,
                 value=float(np.mean(roots[i])),
                 sd=sd,
                 method=EXACT_MC,
             )
-        )
-    return out
+    return [_MC_MEMO[(n, a, plan)] for a in alphas]
 
 
 def critical_value_mc(n: int, alpha: float, plan: SimPlan) -> CriticalValueEstimate:
@@ -136,7 +155,7 @@ def table1(n_values, plan: SimPlan) -> list[dict]:
     for n in n_values:
         if not 5 <= n <= 10**6:
             raise ValueError(f"table rows need 5 <= n <= 1e6, got {n!r}")
-        exact = critical_values_mc_multi(n, [0.10, 0.05, 0.01], plan)
+        exact = critical_values_mc_multi(n, list(TABLE1_LEVELS), plan)
         rows.append(
             {
                 "samplesize": n,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slopesize import powersim
+from slopesize import critvals, powersim
 from slopesize.critvals import CriticalValueCache
 
 # one fixed seed for the whole suite so every Monte Carlo check is a
@@ -18,6 +18,16 @@ def row_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         np.einsum("ij,ij->i", dx, dy),
         np.einsum("ij,ij->i", dy, dy),
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_critval_memo():
+    """Start every test with no exact-MC estimate kept in process.
+
+    Without it a test's draw counts and traced counters would depend on
+    which tests ran before it in the same process.
+    """
+    critvals._MC_MEMO.clear()
 
 
 @pytest.fixture(scope="session")

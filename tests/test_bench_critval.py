@@ -20,10 +20,14 @@ def test_quick_run_writes_every_key(tmp_path):
     assert {"cpu", "cpus", "memory_gb", "python", "numpy"} <= set(report["machine"])
     assert report["stdout"]["critval"].startswith("n=30 alpha=0.05 value=")
     assert report["stdout"]["search"].startswith("n=")
+    levels = report["stdout"]["levels"].splitlines()
+    assert [line.split()[:2] for line in levels] == [
+        ["n=30", f"alpha={alpha}"] for alpha in ("0.1", "0.05", "0.01")
+    ]
     assert "before" not in report and "change" not in report
     (run,) = report["after"]["runs"]
     assert set(run["chisq_us_per_10k"]) == {"1", "29", "48", "2400"}
-    for key in ("critval_request_s", "search_cell_s", "search_critval_s"):
+    for key in ("critval_request_s", "search_cell_s", "search_critval_s", "levels_s"):
         assert run[key] >= 0.0
         assert key in report["after"]["median"]
     assert run["search_critval_calls"] >= 1

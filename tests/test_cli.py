@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from slopesize import cli
+from slopesize import cli, critvals
 from slopesize.powersim import SampleSizeResult, SearchFailureError
 
 
@@ -60,6 +60,27 @@ class TestCritval:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_exact_after_table1_reuses_its_draws(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        code, _, _ = run_cli(capsys, "table", "--which", "1", "--fast", "--seed", "3",
+                             "--out", str(tmp_path / "t1.csv"))
+        assert code == 0
+        calls = []
+        real = critvals.t2_null_draws
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(critvals, "t2_null_draws", counted)
+        args = ("critval", "--n", "57", "--alpha", "0.01", "--fast", "--seed", "3")
+        code, hit, _ = run_cli(capsys, *args)
+        assert code == 0 and calls == []
+        critvals._MC_MEMO.clear()
+        code, fresh, _ = run_cli(capsys, *args)
+        assert code == 0 and len(calls) == cli.FAST_CRITVAL[1]
+        assert hit == fresh
 
     def test_small_n_guard_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
-"""Critical values: Monte Carlo route, normal approximation, table, cache.
+"""Critical values: Monte Carlo route, in-process memo, normal approximation,
+table, cache.
 
 Published-table anchors (3-decimal values) used below:
 
@@ -13,11 +14,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slopesize import cli
+from slopesize import cli, critvals
 from slopesize.critvals import (
     EXACT_MC,
     NORMAL_APPROX,
     TABLE1_COLUMNS,
+    TABLE1_LEVELS,
     CriticalValueCache,
     CriticalValueEstimate,
     cached_critical_value,
@@ -32,6 +34,28 @@ SEED = 20260808
 
 # reduced outer count; the mean's SE is ~3e-4, well under table tolerances
 PLAN = SimPlan(reps_inner=10_000, reps_outer=100, master_seed=SEED)
+# a cheap plan for tests that count draws rather than check values
+SMALL = SimPlan(reps_inner=1_000, reps_outer=20, master_seed=SEED)
+
+
+def fresh_mc(n, alpha, plan):
+    """critical_value_mc computed from new draws, with the memo emptied first."""
+    critvals._MC_MEMO.clear()
+    return critical_value_mc(n, alpha, plan)
+
+
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """A list that gets one entry per t2_null_draws call made by critvals."""
+    calls = []
+    real = critvals.t2_null_draws
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(critvals, "t2_null_draws", counted)
+    return calls
 
 
 class TestNormalApprox:
@@ -72,8 +96,7 @@ class TestNormalApprox:
 class TestExactMc:
     def test_deterministic_given_plan(self):
         a = critical_value_mc(30, 0.05, PLAN)
-        b = critical_value_mc(30, 0.05, PLAN)
-        assert a == b
+        assert fresh_mc(30, 0.05, PLAN) == a
 
     def test_published_anchor_n30(self):
         est = critical_value_mc(30, 0.05, PLAN)
@@ -91,8 +114,8 @@ class TestExactMc:
 
     def test_multi_matches_single_calls(self):
         multi = critical_values_mc_multi(40, [0.10, 0.01], PLAN)
-        assert multi[0] == critical_value_mc(40, 0.10, PLAN)
-        assert multi[1] == critical_value_mc(40, 0.01, PLAN)
+        assert multi[0] == fresh_mc(40, 0.10, PLAN)
+        assert multi[1] == fresh_mc(40, 0.01, PLAN)
 
     def test_level_monotonicity(self):
         ests = critical_values_mc_multi(30, [0.10, 0.05, 0.01], PLAN)
@@ -111,6 +134,53 @@ class TestExactMc:
             critical_value_mc(2, 0.05, PLAN)
         with pytest.raises(ValueError):
             critical_value_mc(30, 0.0, PLAN)
+
+
+class TestMemo:
+    """One set of draws per (n, plan) serves every level in the process."""
+
+    @pytest.mark.parametrize("alpha", [*TABLE1_LEVELS, 0.2])
+    def test_hit_equals_fresh_draw(self, draw_calls, alpha):
+        critical_value_mc(25, 0.2, SMALL)
+        del draw_calls[:]
+        hit = critical_value_mc(25, alpha, SMALL)
+        assert draw_calls == []
+        assert hit == fresh_mc(25, alpha, SMALL)
+        assert len(draw_calls) == SMALL.reps_outer
+
+    def test_second_and_third_levels_make_no_draws(self, draw_calls):
+        first = critical_value_mc(25, 0.10, SMALL)
+        assert len(draw_calls) == SMALL.reps_outer
+        others = [critical_value_mc(25, alpha, SMALL) for alpha in (0.05, 0.01)]
+        assert len(draw_calls) == SMALL.reps_outer
+        assert first.value < others[0].value < others[1].value
+
+    @pytest.mark.parametrize("n, plan", [
+        (26, SMALL),
+        (25, dataclasses.replace(SMALL, master_seed=SEED + 1)),
+        (25, dataclasses.replace(SMALL, reps_inner=1_001)),
+        (25, dataclasses.replace(SMALL, reps_outer=21)),
+    ])
+    def test_other_key_is_a_miss(self, draw_calls, n, plan):
+        critical_value_mc(25, 0.05, SMALL)
+        del draw_calls[:]
+        est = critical_value_mc(n, 0.05, plan)
+        assert len(draw_calls) == plan.reps_outer
+        assert est == fresh_mc(n, 0.05, plan)
+
+    def test_table1_row_then_cached_value_draws_nothing_and_stores(
+        self, draw_calls, tmp_path
+    ):
+        row = table1([25], SMALL)[0]
+        del draw_calls[:]
+        path = tmp_path / "cv.txt"
+        cache = CriticalValueCache(path)
+        est = cached_critical_value(25, 0.01, SMALL, cache)
+        assert draw_calls == []
+        assert est.value == row["criticalvalue1"]
+        assert path.read_text() == (
+            f"25 0.01 {SMALL.reps_inner} {SMALL.reps_outer} {SEED} {est.value!r} {est.sd!r}\n"
+        )
 
 
 class TestNormalApproxConvergence:
