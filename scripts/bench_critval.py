@@ -121,8 +121,8 @@ def measure(sizes: dict) -> dict:
     finally:
         powersim.cached_critical_value = inner
 
-    # the critval request above kept n = 30 at seed 1 in process, where the
-    # measured tree keeps exact-MC estimates at all
+    # the critval request above left n = 30 at seed 1 in the exact-MC memo of
+    # a tree that has one; empty it so that the first level draws afresh
     getattr(critvals, "_MC_MEMO", {}).clear()
     levels = [run_cli(cli, argv + sizes["reps"]) for argv in LEVELS_ARGV]
     return {

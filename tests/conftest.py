@@ -30,6 +30,20 @@ def fresh_critval_memo():
     critvals._MC_MEMO.clear()
 
 
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """A list that gets one entry per t2_null_draws call made by critvals."""
+    calls = []
+    real = critvals.t2_null_draws
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(critvals, "t2_null_draws", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def session_cache(tmp_path_factory) -> CriticalValueCache:
     """Critical-value cache shared across the whole test session."""

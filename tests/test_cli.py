@@ -61,25 +61,20 @@ class TestCritval:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_exact_after_table1_reuses_its_draws(self, capsys, monkeypatch, tmp_path):
+    def test_exact_after_table1_reuses_its_draws(
+        self, capsys, monkeypatch, tmp_path, draw_calls
+    ):
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
         code, _, _ = run_cli(capsys, "table", "--which", "1", "--fast", "--seed", "3",
                              "--out", str(tmp_path / "t1.csv"))
         assert code == 0
-        calls = []
-        real = critvals.t2_null_draws
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(critvals, "t2_null_draws", counted)
+        del draw_calls[:]
         args = ("critval", "--n", "57", "--alpha", "0.01", "--fast", "--seed", "3")
         code, hit, _ = run_cli(capsys, *args)
-        assert code == 0 and calls == []
+        assert code == 0 and draw_calls == []
         critvals._MC_MEMO.clear()
         code, fresh, _ = run_cli(capsys, *args)
-        assert code == 0 and len(calls) == cli.FAST_CRITVAL[1]
+        assert code == 0 and len(draw_calls) == cli.FAST_CRITVAL[1]
         assert hit == fresh
 
     def test_small_n_guard_is_usage_error(self, capsys):

@@ -44,20 +44,6 @@ def fresh_mc(n, alpha, plan):
     return critical_value_mc(n, alpha, plan)
 
 
-@pytest.fixture
-def draw_calls(monkeypatch):
-    """A list that gets one entry per t2_null_draws call made by critvals."""
-    calls = []
-    real = critvals.t2_null_draws
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(critvals, "t2_null_draws", counted)
-    return calls
-
-
 class TestNormalApprox:
     @pytest.mark.parametrize(
         "n,alpha,want",
