@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Speed of the exact-MC critical values, before and after a change.
+"""Speed of the exact-MC critical values and the replicate kernel, before and after a change.
 
-Measures four layers, each in a fresh process per side and pair, with the
+Measures five layers, each in a fresh process per side and pair, with the
 sides alternating (ABAB, then BABA) so that drift of the host's speed falls
 on both:
 
@@ -12,17 +12,24 @@ on both:
               (10,000 x 1,000 draws);
   search      the full-fidelity search cell `slopesize samplesize --route
               slope --lambda 0.5 --alpha 0.05 --power 0.90 --seed 1`, its
-              total CPU seconds and the seconds spent inside the critical
-              values it computes (no cache file);
+              total CPU and wall seconds and the CPU seconds spent inside
+              the critical values it computes (no cache file);
   levels      the three Table 1 levels at one n, `slopesize critval --n 30
               --alpha 0.10|0.05|0.01 --method exact --seed 1`, run one after
               the other in the measuring process, their total CPU seconds.
               Exact-MC estimates kept in process from the commands before
-              are dropped first, so the first level draws afresh.
+              are dropped first, so the first level draws afresh;
+  corrmc      the correlation route's Monte Carlo power, corr_power_mc, at
+              each of the 72 table cells' find_sample_size_corr sample size
+              (lambda 0.1-0.6 x power 0.80-0.99 x alpha 0.10/0.05/0.01),
+              2,000 trials at seed 1, its total CPU and wall seconds.
 
-Times are time.process_time() of the measuring process. Each side's stdout
-of the commands is recorded, and the script fails if the sides print
-different bytes: the change must leave seeded output as it was.
+Times are time.process_time() of the measuring process, which adds up the
+CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
+The replicate kernel draws on two threads, so its gains show in wall time.
+Each side's stdout of the commands (for corrmc, the hex powers) is recorded,
+and the script fails if the sides print different bytes: the change must
+leave seeded output as it was.
 
 Usage:
     python scripts/bench_critval.py --baseline OLD/src
@@ -64,12 +71,16 @@ SEARCH_ARGV = ["samplesize", "--route", "slope", "--lambda", "0.5", "--alpha", "
                "--power", "0.90", "--seed", "1"]
 LEVELS_ARGV = [["critval", "--n", "30", "--alpha", alpha, "--method", "exact", "--seed", "1"]
                for alpha in ("0.10", "0.05", "0.01")]
-TIMES = ("critval_request_s", "search_cell_s", "search_critval_s", "levels_s")
+CORR_CELLS = [(lam, alpha, target) for alpha in (0.10, 0.05, 0.01)
+              for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) for target in (0.80, 0.90, 0.95, 0.99)]
+TIMES = ("critval_request_s", "search_cell_s", "search_wall_s", "search_critval_s", "levels_s",
+         "corrmc_s", "corrmc_wall_s")
 PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
-FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": []}
+FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": [],
+        "corrmc_trials": 2_000}
 QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
-         "reps": ["--reps-inner", "200", "--reps-outer", "3"]}
+         "reps": ["--reps-inner", "200", "--reps-outer", "3"], "corrmc_trials": 100}
 
 
 # -- measuring process ------------------------------------------------------
@@ -84,6 +95,21 @@ def run_cli(cli, argv: list[str]) -> tuple[float, str]:
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited with {code}")
     return elapsed, out.getvalue()
+
+
+def corr_mc_powers(trials: int) -> tuple[float, float, str]:
+    """CPU and wall seconds of corr_power_mc over CORR_CELLS, and its hex powers."""
+    from slopesize.corroute import corr_power_mc, find_sample_size_corr, lambda_to_rho
+    from slopesize.stochastics import SimPlan
+
+    plan = SimPlan(reps_inner=trials, reps_outer=1, master_seed=1)
+    cells = [(lambda_to_rho(lam), alpha) for lam, alpha, _ in CORR_CELLS]
+    sizes = [find_sample_size_corr(rho, alpha, target, plan).n
+             for (rho, alpha), (_, _, target) in zip(cells, CORR_CELLS)]
+    cpu, wall = time.process_time(), time.perf_counter()
+    powers = [corr_power_mc(n, rho, alpha, plan).power for n, (rho, alpha) in zip(sizes, cells)]
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    return cpu, wall, "".join(f"n={n} power={p.hex()}\n" for n, p in zip(sizes, powers))
 
 
 def measure(sizes: dict) -> dict:
@@ -116,24 +142,30 @@ def measure(sizes: dict) -> dict:
             spent["calls"] += 1
 
     powersim.cached_critical_value = timed
+    wall = time.perf_counter()
     try:
         search_s, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
     finally:
         powersim.cached_critical_value = inner
+    search_wall = time.perf_counter() - wall
 
     # the critval request above left n = 30 at seed 1 in the exact-MC memo of
     # a tree that has one; empty it so that the first level draws afresh
     getattr(critvals, "_MC_MEMO", {}).clear()
     levels = [run_cli(cli, argv + sizes["reps"]) for argv in LEVELS_ARGV]
+    corrmc_s, corrmc_wall, corrmc_out = corr_mc_powers(sizes["corrmc_trials"])
     return {
         "chisq_us_per_10k": chisq,
         "critval_request_s": round(critval_s, 3),
         "search_cell_s": round(search_s, 3),
+        "search_wall_s": round(search_wall, 3),
         "search_critval_s": round(spent["s"], 3),
         "search_critval_calls": spent["calls"],
         "levels_s": round(sum(s for s, _ in levels), 3),
+        "corrmc_s": round(corrmc_s, 3),
+        "corrmc_wall_s": round(corrmc_wall, 3),
         "stdout": {"critval": critval_out, "search": search_out,
-                   "levels": "".join(out for _, out in levels)},
+                   "levels": "".join(out for _, out in levels), "corrmc": corrmc_out},
     }
 
 
@@ -253,16 +285,21 @@ def main(argv=None) -> int:
         Path(__file__).resolve(), args.baseline, pairs, args.quick)
     report = {
         "benchmark": "exact-MC critical values: chi-square sampler, one critval request, "
-                     "critical values inside one slope search, three levels at one n",
-        "timer": "time.process_time of a fresh process per side and pair, sides alternating",
+                     "critical values inside one slope search, three levels at one n; "
+                     "replicate kernel: corr_power_mc at the 72 table cells",
+        "timer": "time.process_time (CPU of all threads) of a fresh process per side and pair, "
+                 "sides alternating; *_wall_s fields are time.perf_counter",
         "quick": args.quick,
-        "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS)},
+        "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS), "corrmc_cells": len(CORR_CELLS)},
         "commands": {"critval": "slopesize " + " ".join(CRITVAL_ARGV + sizes["reps"]),
                      "search": "slopesize " + " ".join(SEARCH_ARGV + sizes["reps"]),
                      "levels": ["slopesize " + " ".join(argv + sizes["reps"])
-                                for argv in LEVELS_ARGV]},
+                                for argv in LEVELS_ARGV],
+                     "corrmc": "corroute.corr_power_mc(find_sample_size_corr(rho, alpha, target).n, "
+                               "rho, alpha, SimPlan(corrmc_trials, 1, 1)), rho = lambda_to_rho(lam), "
+                               "per cell"},
         "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys", "critval": 1, "search": 1,
-                  "levels": 1},
+                  "levels": 1, "corrmc": 1},
         "machine": machine(),
         "stdout": first,
         "outputs_identical": identical,

@@ -29,15 +29,10 @@ from .critvals import (
     table1,
 )
 from .powersim import (
-    DegenerateXError,
-    FitStats,
-    PerfectFitError,
     PowerEstimate,
     SampleSizeResult,
     SearchFailureError,
-    SpreadUnderflowError,
     find_sample_size_slope,
-    fit_slope_stats,
     power_table,
     simulate_power_slope,
 )

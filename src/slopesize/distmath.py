@@ -33,6 +33,8 @@ _CF_MAX_ITER = 500
 _NCT_TOL = 1e-12
 _NCT_MAX_TERMS = 3000
 _NEWTON_MAX_ITER = 200
+# larger beta argument from which _log_beta sums Stirling's series (df 2e4)
+_STIRLING_MIN = 1e4
 
 
 class NonConvergenceError(ArithmeticError):
@@ -64,7 +66,31 @@ def normal_quantile(p: float) -> float:
 
 
 def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """log B(a, b) for a, b > 0.
+
+    With b the larger argument, lgamma(b) - lgamma(a + b) cancels to about
+    ulp(b log b), which put an error of 3e-10 into t_cdf at df 10^6 and
+    3e-7 at df 10^9. From b = _STIRLING_MIN on, that difference is taken
+    from Stirling's series, whose leading terms cancel analytically:
+    -(b - 1/2) log1p(a/b) - a log(a + b) + a + tail(b) - tail(a + b).
+    """
+    small, big = min(a, b), max(a, b)
+    if big < _STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    total = small + big
+    return (
+        math.lgamma(small)
+        - (big - 0.5) * math.log1p(small / big)
+        - small * math.log(total)
+        + small
+        + _stirling_tail(big)
+        - _stirling_tail(total)
+    )
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), to 1e-23 at z >= _STIRLING_MIN."""
+    return (1.0 / 12.0 - 1.0 / (360.0 * z * z)) / z
 
 
 def _betacf(a: float, b: float, x: float) -> float:

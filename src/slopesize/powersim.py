@@ -16,6 +16,12 @@ final slope estimate. A degenerate trial (S_XX = 0 or RSS <= 0, a
 probability-zero event) fails the run with SearchFailureError, which names
 the trial's task id and n.
 
+Each noise block is drawn on one helper thread, started on first use, while
+the calling thread draws the predictor block. Every stream is still read by
+a single thread, in the same order and block shapes, so no value depends on
+the helper. An at-fork hook drops the helper in a forked child, which starts
+its own on first use.
+
 The sample-size search starts at the correlation route's deterministic
 Fisher-z sample size, which needs no simulation, and returns a crossing
 found outward from it: an n whose validated mean power clears the target
@@ -35,7 +41,8 @@ at the sizes the search validates.
 from __future__ import annotations
 
 import math
-import sys
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +56,9 @@ from .stochastics import VALIDATION_TASK_BASE, SimPlan, StreamKey, generator
 from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
 
 __all__ = [
-    "FitError",
-    "DegenerateXError",
-    "PerfectFitError",
-    "SpreadUnderflowError",
     "SearchFailureError",
-    "FitStats",
     "PowerEstimate",
     "SampleSizeResult",
-    "fit_slope_stats",
     "simulate_power_slope",
     "find_sample_size_slope",
     "power_table",
@@ -93,40 +94,8 @@ _CHUNK_VARIATES = 4096 * 64
 _SCOUT_WINDOW = 3
 
 
-class FitError(ValueError):
-    """The least-squares fit does not admit the slope t statistic."""
-
-
-class DegenerateXError(FitError):
-    """All predictor values coincide (S_XX = 0)."""
-
-
-class PerfectFitError(FitError):
-    """Residual sum of squares is zero, so the t statistics are undefined."""
-
-
-class SpreadUnderflowError(FitError):
-    """S_XX * S_YY is subnormal or zero, so the correlation loses precision."""
-
-
 class SearchFailureError(RuntimeError):
     """A search passed its ceiling short of the target, or a trial was degenerate."""
-
-
-@dataclass(frozen=True)
-class FitStats:
-    """Least-squares summary of one (x, y) sample."""
-
-    n: int
-    beta1_hat: float
-    sigma_hat: float
-    sigma_x_hat: float
-    t_slope: float
-    rho_hat: float
-    t_corr: float
-    sxx: float
-    sxy: float
-    rss: float
 
 
 @dataclass(frozen=True)
@@ -147,53 +116,32 @@ class SampleSizeResult:
     route: str
 
 
-def fit_slope_stats(xs, ys) -> FitStats:
-    """Least-squares slope fit with both t statistics.
+# the one thread that draws every run's noise blocks (see _slope_t_prefixes);
+# started on first use, so importing the package starts no thread
+_helper_lock = threading.Lock()
+_helper_pool = None
 
-    t_slope is beta1_hat * sigma_x_hat / sigma_hat; t_corr is the
-    correlation statistic sqrt(n-2) * rho_hat / sqrt(1 - rho_hat^2). The two
-    satisfy t_corr^2 = (n-1) * t_slope^2 for every non-degenerate sample.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("xs and ys must be 1-d sequences of equal length")
-    n = x.size
-    if n < 3:
-        raise ValueError(f"need at least 3 observations, got {n}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    sxy = float(dx @ dy)
-    syy = float(dy @ dy)
-    if sxx == 0.0:
-        raise DegenerateXError("all predictor values are equal (S_XX = 0)")
-    beta1_hat = sxy / sxx
-    rss = syy - sxy * sxy / sxx
-    if rss <= 0.0:
-        raise PerfectFitError("residual sum of squares is zero; t statistics undefined")
-    sigma_hat = math.sqrt(rss / (n - 2))
-    sigma_x_hat = math.sqrt(sxx / (n - 1))
-    t_slope = beta1_hat * sigma_x_hat / sigma_hat
-    sxx_syy = sxx * syy
-    if sxx_syy < sys.float_info.min:
-        raise SpreadUnderflowError("S_XX * S_YY underflows; the sample spread is too small")
-    rho_hat = max(-1.0, min(1.0, sxy / math.sqrt(sxx_syy)))
-    # 1 - rho^2 = RSS / S_YY algebraically; this form cannot cancel to zero
-    # for near-collinear data the way 1 - rho_hat**2 can
-    t_corr = math.sqrt((n - 2) * syy / rss) * rho_hat
-    return FitStats(
-        n=n,
-        beta1_hat=beta1_hat,
-        sigma_hat=sigma_hat,
-        sigma_x_hat=sigma_x_hat,
-        t_slope=t_slope,
-        rho_hat=rho_hat,
-        t_corr=t_corr,
-        sxx=sxx,
-        sxy=sxy,
-        rss=rss,
-    )
+
+def _helper():
+    """The helper thread's executor, started on first use."""
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slopesize-noise")
+        return _helper_pool
+
+
+def _forget_helper() -> None:
+    # a forked child has no copy of the parent's helper thread, and work
+    # queued on the parent's executor would wait forever; start a new one
+    global _helper_lock, _helper_pool
+    _helper_lock = threading.Lock()
+    _helper_pool = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _block_sums(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -227,6 +175,13 @@ def _slope_t_prefixes(
     S_EE - S_XE^2 / S_XX and beta1_hat = lam + S_XE / S_XX, free of
     cancellation at any lam. A degenerate trial (zero S_XX or zero RSS, a
     probability-zero event) raises SearchFailureError naming its task id.
+
+    Each block of e is drawn on the helper thread while this thread draws
+    the block of x; numpy releases the GIL while it fills normals, so the
+    two draws run on two cores. Each stream is still read by one thread,
+    in the same order and in the same block shapes, so the values do not
+    depend on the helper: they are bit-identical to drawing both blocks
+    here. An error raised while drawing e reaches the caller unchanged.
     """
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
@@ -240,12 +195,14 @@ def _slope_t_prefixes(
     n = max(lengths)
     x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
     e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
+    helper = _helper()
     sums: dict[int, np.ndarray] = {}
     total = np.zeros((5, trials))  # sums over the full blocks read so far
     for start in range(0, n, rows):
         size = min(rows, n - start)
+        e_block = helper.submit(e_gen.standard_normal, (size, trials))
         x = x_gen.standard_normal((size, trials))
-        e = e_gen.standard_normal((size, trials))
+        e = e_block.result()
         for cut in {m - start for m in lengths if start < m <= start + size}:
             sums[start + cut] = total + _block_sums(x[:cut], e[:cut])
         if start + size < n:

@@ -9,7 +9,12 @@ its two streams, keyed by its first task id, as a block with one row per
 observation and one column per trial, a bounded number of rows at a time;
 that number depends only on the trial count. So results are bit-identical
 for a given plan regardless of the order in which runs are evaluated, the
-worker that evaluates them, or the sample size a run is cut to.
+worker that evaluates them, or the sample size a run is cut to. The replicate
+kernel (powersim._slope_t_prefixes) draws each noise block on one helper
+thread while the calling thread draws the predictor block; each generator is
+read by one thread at a time, in the same order and block shapes, so the
+thread that fills a block cannot change its bits. A forked child starts its
+own helper (an at-fork hook drops the parent's).
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):

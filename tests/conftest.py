@@ -1,3 +1,7 @@
+import math
+import sys
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,89 @@ def row_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         np.einsum("ij,ij->i", dx, dx),
         np.einsum("ij,ij->i", dx, dy),
         np.einsum("ij,ij->i", dy, dy),
+    )
+
+
+# -- reference fit: a two-pass least-squares fit of one sample, the oracle
+# the replicate kernel's running sums are checked against
+class FitError(ValueError):
+    """The least-squares fit does not admit the slope t statistic."""
+
+
+class DegenerateXError(FitError):
+    """All predictor values coincide (S_XX = 0)."""
+
+
+class PerfectFitError(FitError):
+    """Residual sum of squares is zero, so the t statistics are undefined."""
+
+
+class SpreadUnderflowError(FitError):
+    """S_XX * S_YY is subnormal or zero, so the correlation loses precision."""
+
+
+@dataclass(frozen=True)
+class FitStats:
+    """Least-squares summary of one (x, y) sample."""
+
+    n: int
+    beta1_hat: float
+    sigma_hat: float
+    sigma_x_hat: float
+    t_slope: float
+    rho_hat: float
+    t_corr: float
+    sxx: float
+    sxy: float
+    rss: float
+
+
+def fit_slope_stats(xs, ys) -> FitStats:
+    """Least-squares slope fit with both t statistics.
+
+    t_slope is beta1_hat * sigma_x_hat / sigma_hat; t_corr is the
+    correlation statistic sqrt(n-2) * rho_hat / sqrt(1 - rho_hat^2). The two
+    satisfy t_corr^2 = (n-1) * t_slope^2 for every non-degenerate sample.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("xs and ys must be 1-d sequences of equal length")
+    n = x.size
+    if n < 3:
+        raise ValueError(f"need at least 3 observations, got {n}")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(dx @ dx)
+    sxy = float(dx @ dy)
+    syy = float(dy @ dy)
+    if sxx == 0.0:
+        raise DegenerateXError("all predictor values are equal (S_XX = 0)")
+    beta1_hat = sxy / sxx
+    rss = syy - sxy * sxy / sxx
+    if rss <= 0.0:
+        raise PerfectFitError("residual sum of squares is zero; t statistics undefined")
+    sigma_hat = math.sqrt(rss / (n - 2))
+    sigma_x_hat = math.sqrt(sxx / (n - 1))
+    t_slope = beta1_hat * sigma_x_hat / sigma_hat
+    sxx_syy = sxx * syy
+    if sxx_syy < sys.float_info.min:
+        raise SpreadUnderflowError("S_XX * S_YY underflows; the sample spread is too small")
+    rho_hat = max(-1.0, min(1.0, sxy / math.sqrt(sxx_syy)))
+    # 1 - rho^2 = RSS / S_YY algebraically; this form cannot cancel to zero
+    # for near-collinear data the way 1 - rho_hat**2 can
+    t_corr = math.sqrt((n - 2) * syy / rss) * rho_hat
+    return FitStats(
+        n=n,
+        beta1_hat=beta1_hat,
+        sigma_hat=sigma_hat,
+        sigma_x_hat=sigma_x_hat,
+        t_slope=t_slope,
+        rho_hat=rho_hat,
+        t_corr=t_corr,
+        sxx=sxx,
+        sxy=sxy,
+        rss=rss,
     )
 
 

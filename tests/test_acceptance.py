@@ -25,14 +25,10 @@ from slopesize.corroute import find_sample_size_corr, lambda_to_rho
 from slopesize.critvals import cached_critical_value, critical_value_normal
 from slopesize.distmath import noncentral_t_cdf, t_cdf
 from slopesize.exactnull import expected_t2, t2_null_draws
-from slopesize.powersim import (
-    find_sample_size_slope,
-    fit_slope_stats,
-    slope_t_batch,
-)
+from slopesize.powersim import find_sample_size_slope, slope_t_batch
 from slopesize.stochastics import SimPlan, StreamKey
 
-from conftest import row_moments
+from conftest import fit_slope_stats, row_moments
 
 SEED = 20260808
 

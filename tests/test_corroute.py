@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import fit_slope_stats
 from slopesize import corroute
 from slopesize.corroute import (
     contrast_table,
@@ -19,7 +20,7 @@ from slopesize.corroute import (
     lambda_to_rho,
     rho_to_lambda,
 )
-from slopesize.powersim import SearchFailureError, fit_slope_stats, power_table
+from slopesize.powersim import SearchFailureError, power_table
 from slopesize.stochastics import SimPlan, StreamKey, generator
 
 SEED = 20260808

@@ -141,6 +141,18 @@ class TestTCdf:
         # true value 2.5069e-7; a CDF that rounds near 0 puts it below zero
         assert t_quantile(0.5000001, 2400) == pytest.approx(2.506889394e-7, rel=1e-8)
 
+    @pytest.mark.parametrize("df", [19_999, 20_000, 10**6, 10**7, 10**8, 10**9])
+    def test_accurate_at_huge_df(self, df):
+        # lgamma(df / 2) - lgamma(df / 2 + 1/2) cancelled to 2.7e-7 at
+        # x = 1.28155, df 10^9 before log B took it from Stirling's series;
+        # a search can reach df 10^6 - 2 at its default ceiling
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for x in (0.5, 1.28155, 3.0):
+            for signed in (x, -x):
+                assert t_cdf(signed, df) == pytest.approx(
+                    float(scipy_stats.t.cdf(signed, df)), abs=1e-10
+                ), signed
+
     def test_normal_limit(self):
         for x in (-2.0, -0.5, 1.0, 2.5):
             assert t_cdf(x, 10**6) == pytest.approx(normal_cdf(x), abs=1e-4)

@@ -1,7 +1,10 @@
 """Least-squares fit statistics, power simulation, and the sample-size search."""
 
 import collections
+import hashlib
 import math
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,19 +12,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import row_moments
+from conftest import (
+    DegenerateXError,
+    FitError,
+    PerfectFitError,
+    SpreadUnderflowError,
+    fit_slope_stats,
+    row_moments,
+)
 from slopesize import powersim
 from slopesize.corroute import corr_t1_batch
 from slopesize.critvals import EXACT_MC, CriticalValueEstimate, cached_critical_value
 from slopesize.distmath import t_quantile
 from slopesize.powersim import (
-    DegenerateXError,
-    FitError,
-    PerfectFitError,
     SearchFailureError,
-    SpreadUnderflowError,
     find_sample_size_slope,
-    fit_slope_stats,
     power_table,
     simulate_power_slope,
     slope_t_batch,
@@ -34,6 +39,13 @@ from slopesize.stochastics import (
 )
 
 SEED = 20260808
+
+# sha256 of the t values of runs of 2,000 trials at n = 300: 131 rows per
+# block, so each run spans three blocks of both streams
+KERNEL_PINS = {
+    "slope": "115d9ebcf369624695d39f23b9efa24fd448c6066a91698aae0d8b3fb6a7dbbc",
+    "corr": "5d589fce64e30178d4d4a2cde2ae0935e6a6f4cdbd364a054c829ac69108e13c",
+}
 
 
 def exact_null_critval(n: int, alpha: float) -> CriticalValueEstimate:
@@ -52,6 +64,12 @@ def run_reference_t(n: int, lam: float, first_task: int, trials: int) -> np.ndar
     x = generator(StreamKey(SEED, first_task, powersim._X_STREAM)).standard_normal((n, trials))
     e = generator(StreamKey(SEED, first_task, powersim._EPS_STREAM)).standard_normal((n, trials))
     return np.array([fit_slope_stats(x[:, i], lam * x[:, i] + e[:, i]).t_slope for i in range(trials)])
+
+
+def send_forked_run(conn) -> None:
+    """Child process body: draw one run and send its bytes back."""
+    conn.send_bytes(slope_t_batch(50, 0.3, SEED, np.arange(100)).tobytes())
+    conn.close()
 
 
 def spread_survives_shift(values, shift) -> bool:
@@ -261,6 +279,43 @@ class TestSlopeTBatch:
         t_vals = slope_t_batch(n, lam, 1, np.arange(trials))
         assert t_vals == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "batch, name",
+        [
+            (lambda: slope_t_batch(300, 0.4, SEED, np.arange(2_000)), "slope"),
+            (lambda: corr_t1_batch(300, 0.3, SEED, np.arange(2_000)), "corr"),
+        ],
+        ids=["slope", "corr"],
+    )
+    def test_three_block_runs_are_pinned(self, batch, name):
+        # the noise blocks come from the helper thread; not a bit may move
+        assert hashlib.sha256(batch().tobytes()).hexdigest() == KERNEL_PINS[name]
+
+    def test_forked_child_gets_its_own_helper(self):
+        # this call starts the helper thread, which a forked child lacks; a
+        # child that kept the parent's executor would wait on it forever
+        want = slope_t_batch(50, 0.3, SEED, np.arange(100)).tobytes()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_forked_run, args=(send,))
+        child.start()
+        send.close()
+        try:
+            got = recv.recv_bytes() if recv.poll(20) else None
+        finally:
+            child.join(timeout=5)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got is not None, "the forked child hung"
+        assert got == want
+
+    def test_kernel_starts_at_most_one_thread(self):
+        before = threading.active_count()
+        for run in range(50):
+            slope_t_batch(20, 0.3, SEED, np.arange(run * 100, run * 100 + 100))
+        assert threading.active_count() <= before + 1
+
     def test_huge_effect_needs_no_resample(self):
         t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000))
         assert np.all(np.isfinite(t_vals))
@@ -271,13 +326,16 @@ class TestSlopeTBatch:
             (slope_t_batch, powersim._X_STREAM, 0.4),
             (slope_t_batch, powersim._X_STREAM, 1e6),
             (slope_t_batch, powersim._X_STREAM, 1e9),
+            (slope_t_batch, powersim._EPS_STREAM, 0.4),
             (corr_t1_batch, 200, 0.4),
+            (corr_t1_batch, 201, 0.4),
         ],
-        ids=["slope", "slope-1e6", "slope-1e9", "corr"],
+        ids=["slope", "slope-1e6", "slope-1e9", "slope-noise", "corr", "corr-noise"],
     )
     def test_degenerate_trial_raises(self, constant_column, batch, role, lam):
         # a constant predictor makes trial 3 (task id 7) degenerate, which
-        # fails the whole run; S_XX is exactly 0 however large lam is
+        # fails the whole run; S_XX is exactly 0 however large lam is. A
+        # constant noise column, drawn on the helper thread, leaves RSS <= 0
         constant_column(3, role)
         with pytest.raises(SearchFailureError, match=r"task id 7 is degenerate at n=20 "):
             batch(20, lam, SEED, np.arange(4, 12))
