@@ -9,14 +9,15 @@ on both:
               (stochastics.chisq_array) at df 1, 29, 48 and 2400;
   critval     one full-fidelity request,
               `slopesize critval --n 30 --alpha 0.05 --method exact --seed 1`
-              (10,000 x 1,000 draws);
+              (10,000 x 1,000 draws), its CPU and wall seconds;
   search      the full-fidelity search cell `slopesize samplesize --route
               slope --lambda 0.5 --alpha 0.05 --power 0.90 --seed 1`, its
-              total CPU and wall seconds and the CPU seconds spent inside
-              the critical values it computes (no cache file);
+              total CPU and wall seconds and the CPU and wall seconds spent
+              inside the critical values it computes (no cache file);
   levels      the three Table 1 levels at one n, `slopesize critval --n 30
               --alpha 0.10|0.05|0.01 --method exact --seed 1`, run one after
-              the other in the measuring process, their total CPU seconds.
+              the other in the measuring process, their total CPU and wall
+              seconds.
               Exact-MC estimates kept in process from the commands before
               are dropped first, so the first level draws afresh;
   corrmc      the correlation route's Monte Carlo power, corr_power_mc, at
@@ -26,7 +27,8 @@ on both:
 
 Times are time.process_time() of the measuring process, which adds up the
 CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
-The replicate kernel draws on two threads, so its gains show in wall time.
+The replicate kernel and the exact-MC replicate loop draw on two threads, so
+their gains show in wall time.
 Each side's stdout of the commands (for corrmc, the hex powers) is recorded,
 and the script fails if the sides print different bytes: the change must
 leave seeded output as it was.
@@ -73,8 +75,9 @@ LEVELS_ARGV = [["critval", "--n", "30", "--alpha", alpha, "--method", "exact", "
                for alpha in ("0.10", "0.05", "0.01")]
 CORR_CELLS = [(lam, alpha, target) for alpha in (0.10, 0.05, 0.01)
               for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) for target in (0.80, 0.90, 0.95, 0.99)]
-TIMES = ("critval_request_s", "search_cell_s", "search_wall_s", "search_critval_s", "levels_s",
-         "corrmc_s", "corrmc_wall_s")
+TIMES = ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
+         "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s", "corrmc_s",
+         "corrmc_wall_s")
 PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
 FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": [],
@@ -85,16 +88,16 @@ QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
 
 # -- measuring process ------------------------------------------------------
 
-def run_cli(cli, argv: list[str]) -> tuple[float, str]:
-    """CPU seconds and stdout of one CLI command."""
+def run_cli(cli, argv: list[str]) -> tuple[float, float, str]:
+    """CPU seconds, wall seconds and stdout of one CLI command."""
     out = io.StringIO()
-    start = time.process_time()
+    cpu, wall = time.process_time(), time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    elapsed = time.process_time() - start
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited with {code}")
-    return elapsed, out.getvalue()
+    return cpu, wall, out.getvalue()
 
 
 def corr_mc_powers(trials: int) -> tuple[float, float, str]:
@@ -128,26 +131,25 @@ def measure(sizes: dict) -> dict:
             best = min(best, per_call * 1e6 * 10_000 / sizes["chisq_size"])
         chisq[str(df)] = round(best, 1)
 
-    critval_s, critval_out = run_cli(cli, CRITVAL_ARGV + sizes["reps"])
+    critval_s, critval_wall, critval_out = run_cli(cli, CRITVAL_ARGV + sizes["reps"])
 
-    spent = {"s": 0.0, "calls": 0}
+    spent = {"s": 0.0, "wall_s": 0.0, "calls": 0}
     inner = powersim.cached_critical_value
 
     def timed(*args, **kwargs):
-        start = time.process_time()
+        cpu, wall = time.process_time(), time.perf_counter()
         try:
             return inner(*args, **kwargs)
         finally:
-            spent["s"] += time.process_time() - start
+            spent["s"] += time.process_time() - cpu
+            spent["wall_s"] += time.perf_counter() - wall
             spent["calls"] += 1
 
     powersim.cached_critical_value = timed
-    wall = time.perf_counter()
     try:
-        search_s, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
+        search_s, search_wall, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
     finally:
         powersim.cached_critical_value = inner
-    search_wall = time.perf_counter() - wall
 
     # the critval request above left n = 30 at seed 1 in the exact-MC memo of
     # a tree that has one; empty it so that the first level draws afresh
@@ -157,15 +159,18 @@ def measure(sizes: dict) -> dict:
     return {
         "chisq_us_per_10k": chisq,
         "critval_request_s": round(critval_s, 3),
+        "critval_request_wall_s": round(critval_wall, 3),
         "search_cell_s": round(search_s, 3),
         "search_wall_s": round(search_wall, 3),
         "search_critval_s": round(spent["s"], 3),
+        "search_critval_wall_s": round(spent["wall_s"], 3),
         "search_critval_calls": spent["calls"],
-        "levels_s": round(sum(s for s, _ in levels), 3),
+        "levels_s": round(sum(cpu for cpu, _, _ in levels), 3),
+        "levels_wall_s": round(sum(wall for _, wall, _ in levels), 3),
         "corrmc_s": round(corrmc_s, 3),
         "corrmc_wall_s": round(corrmc_wall, 3),
         "stdout": {"critval": critval_out, "search": search_out,
-                   "levels": "".join(out for _, out in levels), "corrmc": corrmc_out},
+                   "levels": "".join(out for _, _, out in levels), "corrmc": corrmc_out},
     }
 
 

@@ -107,7 +107,7 @@ def measure(sizes: dict) -> dict:
         "quantile_us": quantile_us,
         "cdf_calls": cdf_calls,
         "corr_search_s": round(corr_search_s, 3),
-        "stdout": {name: run_cli(cli, argv)[1] for name, argv in COMMANDS.items()},
+        "stdout": {name: run_cli(cli, argv)[-1] for name, argv in COMMANDS.items()},
     }
 
 

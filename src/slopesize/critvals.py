@@ -15,8 +15,10 @@ conservative (size about 0.040 at alpha = 0.05, n = 30).
 
 Every exact-MC estimate is kept in process, keyed by (n, alpha, plan), and
 a miss draws the paper's three levels (TABLE1_LEVELS) along with the asked
-ones, so one set of draws at (n, plan) serves every level. The memo lives
-only as long as the process, so it can never be stale across code versions.
+ones, so one set of draws at (n, plan) serves every level. The caller draws
+the even outer replicates and the package's helper thread the odd ones; each
+replicate reads only its own keyed streams, so the split moves no bit. The
+memo lives only as long as the process, so it can never be stale.
 Reuse across processes rests on a small text-file cache keyed on (n, alpha,
 reps_inner, reps_outer, master_seed), which sample-size searches read first.
 """
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .distmath import normal_quantile
-from .stochastics import SimPlan, StreamKey, _quantile_sorted
+from .stochastics import SimPlan, StreamKey, _helper, _quantile_sorted
 from .exactnull import t2_null_draws
 
 __all__ = [
@@ -101,9 +103,10 @@ def critical_values_mc_multi(
     plan); a request whose levels are all kept makes no draws. A miss runs
     the replicate loop once for the asked levels together with
     TABLE1_LEVELS and keeps every estimate it makes. The memo is gone when
-    the process ends, so it can never be stale across code versions;
-    CriticalValueCache is what carries estimates from one process to the
-    next.
+    the process ends; CriticalValueCache carries estimates across processes.
+    The helper thread draws the odd replicates, so never call this on it
+    (its one worker would wait on itself). If either half raises, the other
+    stops at its next replicate and the first error is raised; nothing is kept.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")
@@ -111,13 +114,25 @@ def critical_values_mc_multi(
     if any((n, a, plan) not in _MC_MEMO for a in alphas):
         levels = list(dict.fromkeys([*alphas, *TABLE1_LEVELS]))
         roots = np.empty((len(levels), plan.reps_outer))
-        for j in range(plan.reps_outer):
-            draws = t2_null_draws(
-                StreamKey(plan.master_seed, j), n, plan.reps_inner
-            )
-            draws.sort()
-            for i, alpha in enumerate(levels):
-                roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
+        errors: list[BaseException] = []  # re-raised below, the first one
+
+        def replicates(first: int) -> None:
+            # every other replicate from first, until either half fails
+            try:
+                for j in range(first, plan.reps_outer, 2):
+                    if errors:
+                        return
+                    draws = t2_null_draws(StreamKey(plan.master_seed, j), n, plan.reps_inner)
+                    draws.sort()
+                    for i, alpha in enumerate(levels):
+                        roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
+            except BaseException as exc:
+                errors.append(exc)
+        odd = _helper().submit(replicates, 1)
+        replicates(0)
+        odd.result()
+        if errors:
+            raise errors[0]
         for i, alpha in enumerate(levels):
             sd = float(np.std(roots[i], ddof=1)) if plan.reps_outer > 1 else 0.0
             _MC_MEMO[(n, alpha, plan)] = CriticalValueEstimate(

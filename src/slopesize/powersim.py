@@ -16,11 +16,10 @@ final slope estimate. A degenerate trial (S_XX = 0 or RSS <= 0, a
 probability-zero event) fails the run with SearchFailureError, which names
 the trial's task id and n.
 
-Each noise block is drawn on one helper thread, started on first use, while
-the calling thread draws the predictor block. Every stream is still read by
-a single thread, in the same order and block shapes, so no value depends on
-the helper. An at-fork hook drops the helper in a forked child, which starts
-its own on first use.
+Each noise block is drawn on the package's helper thread (stochastics._helper)
+while the calling thread draws the predictor block. Every stream is still
+read by a single thread, in the same order and block shapes, so no value
+depends on the helper.
 
 The sample-size search starts at the correlation route's deterministic
 Fisher-z sample size, which needs no simulation, and returns a crossing
@@ -41,8 +40,6 @@ at the sizes the search validates.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +49,7 @@ from .critvals import (
     CriticalValueEstimate,
     cached_critical_value,
 )
-from .stochastics import VALIDATION_TASK_BASE, SimPlan, StreamKey, generator
+from .stochastics import VALIDATION_TASK_BASE, SimPlan, StreamKey, _helper, generator
 from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
 
 __all__ = [
@@ -114,34 +111,6 @@ class SampleSizeResult:
     validated_mean: float
     validated_sd: float
     route: str
-
-
-# the one thread that draws every run's noise blocks (see _slope_t_prefixes);
-# started on first use, so importing the package starts no thread
-_helper_lock = threading.Lock()
-_helper_pool = None
-
-
-def _helper():
-    """The helper thread's executor, started on first use."""
-    global _helper_pool
-    with _helper_lock:
-        if _helper_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slopesize-noise")
-        return _helper_pool
-
-
-def _forget_helper() -> None:
-    # a forked child has no copy of the parent's helper thread, and work
-    # queued on the parent's executor would wait forever; start a new one
-    global _helper_lock, _helper_pool
-    _helper_lock = threading.Lock()
-    _helper_pool = None
-
-
-os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _block_sums(x: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -9,12 +9,12 @@ its two streams, keyed by its first task id, as a block with one row per
 observation and one column per trial, a bounded number of rows at a time;
 that number depends only on the trial count. So results are bit-identical
 for a given plan regardless of the order in which runs are evaluated, the
-worker that evaluates them, or the sample size a run is cut to. The replicate
-kernel (powersim._slope_t_prefixes) draws each noise block on one helper
-thread while the calling thread draws the predictor block; each generator is
-read by one thread at a time, in the same order and block shapes, so the
-thread that fills a block cannot change its bits. A forked child starts its
-own helper (an at-fork hook drops the parent's).
+thread that draws them, or the sample size a run is cut to. The package's one
+helper thread (_helper) draws the replicate kernel's noise blocks and the odd
+outer replicates of an exact-MC miss while the caller draws the rest; each
+generator is read by one thread, in the same order and block shapes, and each
+result is written by one thread, so no value depends on which thread draws
+it. A forked child starts its own helper (an at-fork hook drops the parent's).
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
@@ -41,6 +41,8 @@ order, and a candidate with 1 + c*z <= 0 is rejected (see _gamma_mt).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,3 +200,32 @@ def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
     if frac == 0.0 or i + 1 >= m:
         return float(sorted_values[i])
     return float(sorted_values[i] + frac * (sorted_values[i + 1] - sorted_values[i]))
+
+
+# the package's one helper thread (powersim._slope_t_prefixes and
+# critvals.critical_values_mc_multi); importing the package starts no thread
+_helper_lock = threading.Lock()
+_helper_pool = None
+
+
+def _helper():
+    """The helper thread's executor, started on first use; never submit to it
+    from the helper thread itself, whose one worker would then wait on itself."""
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slopesize-helper")
+        return _helper_pool
+
+
+def _forget_helper() -> None:
+    # a forked child has no copy of the parent's helper thread, and work
+    # queued on the parent's executor would wait forever; start a new one
+    global _helper_lock, _helper_pool
+    _helper_lock = threading.Lock()
+    _helper_pool = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)

@@ -29,10 +29,14 @@ def test_quick_run_writes_every_key(tmp_path):
     assert "before" not in report and "change" not in report
     (run,) = report["after"]["runs"]
     assert set(run["chisq_us_per_10k"]) == {"1", "29", "48", "2400"}
-    for key in ("critval_request_s", "search_cell_s", "search_wall_s", "search_critval_s",
-                "levels_s", "corrmc_s", "corrmc_wall_s"):
+    for key in ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
+                "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s",
+                "corrmc_s", "corrmc_wall_s"):
         assert run[key] >= 0.0
         assert key in report["after"]["median"]
     assert run["search_critval_calls"] >= 1
     assert run["search_critval_s"] <= run["search_cell_s"]
-    assert run["search_wall_s"] > 0.0 and run["corrmc_wall_s"] > 0.0
+    for key in ("critval_request_wall_s", "search_wall_s", "search_critval_wall_s",
+                "levels_wall_s", "corrmc_wall_s"):
+        assert run[key] > 0.0
+    assert run["search_critval_wall_s"] <= run["search_wall_s"]

@@ -10,11 +10,14 @@ Published-table anchors (3-decimal values) used below:
 """
 
 import dataclasses
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from slopesize import cli, critvals
+from slopesize import cli, critvals, stochastics
 from slopesize.critvals import (
     EXACT_MC,
     NORMAL_APPROX,
@@ -28,7 +31,8 @@ from slopesize.critvals import (
     critical_values_mc_multi,
     table1,
 )
-from slopesize.stochastics import SimPlan
+from slopesize.exactnull import t2_null_draws
+from slopesize.stochastics import SimPlan, StreamKey, _quantile_sorted
 
 SEED = 20260808
 
@@ -36,6 +40,23 @@ SEED = 20260808
 PLAN = SimPlan(reps_inner=10_000, reps_outer=100, master_seed=SEED)
 # a cheap plan for tests that count draws rather than check values
 SMALL = SimPlan(reps_inner=1_000, reps_outer=20, master_seed=SEED)
+
+
+def serial_hex(n, alphas, plan):
+    """Hex (value, sd) per level from one loop over the replicates on this thread."""
+    roots = [[] for _ in alphas]
+    for j in range(plan.reps_outer):
+        draws = t2_null_draws(StreamKey(plan.master_seed, j), n, plan.reps_inner)
+        draws.sort()
+        for level_roots, alpha in zip(roots, alphas):
+            level_roots.append(math.sqrt(_quantile_sorted(draws, 1.0 - alpha)))
+    sds = [float(np.std(r, ddof=1)) if plan.reps_outer > 1 else 0.0 for r in roots]
+    return [(float(np.mean(r)).hex(), sd.hex()) for r, sd in zip(roots, sds)]
+
+
+def hex_pairs(ests):
+    """Hex (value, sd) of each estimate."""
+    return [(e.value.hex(), e.sd.hex()) for e in ests]
 
 
 def fresh_mc(n, alpha, plan):
@@ -167,6 +188,66 @@ class TestMemo:
         assert path.read_text() == (
             f"25 0.01 {SMALL.reps_inner} {SMALL.reps_outer} {SEED} {est.value!r} {est.sd!r}\n"
         )
+
+
+class Boom(RuntimeError):
+    pass
+
+
+class TestSplitReplicates:
+    """The caller draws the even replicates and the helper thread the odd ones."""
+
+    LEVELS = [*TABLE1_LEVELS, 0.2]
+
+    @pytest.mark.parametrize("reps_outer", [1, 2, 7])
+    def test_bit_identical_to_one_serial_loop(self, reps_outer):
+        plan = dataclasses.replace(SMALL, reps_outer=reps_outer)
+        got = critical_values_mc_multi(27, self.LEVELS, plan)
+        assert hex_pairs(got) == serial_hex(27, self.LEVELS, plan)
+
+    def test_callers_on_many_threads_get_serial_bits(self):
+        # more callers than cores, all sharing the one helper, with frequent
+        # thread switches: a lost or misplaced replicate would move a bit
+        plan = dataclasses.replace(SMALL, reps_outer=7)
+        sizes = (21, 22, 23, 24)
+        got = {}
+
+        def call(n):
+            got[n] = critical_values_mc_multi(n, [0.05], plan)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(n,)) for n in sizes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for n in sizes:
+            assert hex_pairs(got[n]) == serial_hex(n, [0.05], plan)
+
+    @pytest.mark.parametrize("bad", [3, 2], ids=["helper_half", "caller_half"])
+    def test_a_failing_half_raises_keeps_nothing_and_frees_the_helper(
+        self, monkeypatch, bad
+    ):
+        real = critvals.t2_null_draws
+
+        def failing(key, n, size):
+            if key.task_id == bad:
+                raise Boom(f"replicate {key.task_id}")
+            return real(key, n, size)
+
+        monkeypatch.setattr(critvals, "t2_null_draws", failing)
+        with pytest.raises(Boom):
+            critical_value_mc(25, 0.05, SMALL)
+        assert not [key for key in critvals._MC_MEMO if key[0] == 25 and key[2] == SMALL]
+        monkeypatch.setattr(critvals, "t2_null_draws", real)
+        stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
+        est = critical_value_mc(25, 0.05, SMALL)
+        assert hex_pairs([est]) == serial_hex(25, [0.05], SMALL)
 
 
 class TestNormalApproxConvergence:

@@ -20,9 +20,14 @@ from conftest import (
     fit_slope_stats,
     row_moments,
 )
-from slopesize import powersim
+from slopesize import critvals, powersim
 from slopesize.corroute import corr_t1_batch
-from slopesize.critvals import EXACT_MC, CriticalValueEstimate, cached_critical_value
+from slopesize.critvals import (
+    EXACT_MC,
+    CriticalValueEstimate,
+    cached_critical_value,
+    critical_value_mc,
+)
 from slopesize.distmath import t_quantile
 from slopesize.powersim import (
     SearchFailureError,
@@ -66,9 +71,20 @@ def run_reference_t(n: int, lam: float, first_task: int, trials: int) -> np.ndar
     return np.array([fit_slope_stats(x[:, i], lam * x[:, i] + e[:, i]).t_slope for i in range(trials)])
 
 
+# a small exact-MC plan: its seven replicates are split across both threads
+FORK_CV_PLAN = SimPlan(reps_inner=1_000, reps_outer=7, master_seed=SEED)
+
+
+def forked_run_bytes() -> bytes:
+    """One kernel run and one exact-MC critical value, drawn afresh."""
+    critvals._MC_MEMO.clear()  # a forked child inherits the parent's estimates
+    value = critical_value_mc(30, 0.05, FORK_CV_PLAN).value
+    return slope_t_batch(50, 0.3, SEED, np.arange(100)).tobytes() + value.hex().encode()
+
+
 def send_forked_run(conn) -> None:
-    """Child process body: draw one run and send its bytes back."""
-    conn.send_bytes(slope_t_batch(50, 0.3, SEED, np.arange(100)).tobytes())
+    """Child process body: draw forked_run_bytes() and send them back."""
+    conn.send_bytes(forked_run_bytes())
     conn.close()
 
 
@@ -292,9 +308,10 @@ class TestSlopeTBatch:
         assert hashlib.sha256(batch().tobytes()).hexdigest() == KERNEL_PINS[name]
 
     def test_forked_child_gets_its_own_helper(self):
-        # this call starts the helper thread, which a forked child lacks; a
-        # child that kept the parent's executor would wait on it forever
-        want = slope_t_batch(50, 0.3, SEED, np.arange(100)).tobytes()
+        # the kernel and the critical value use the helper thread, which a
+        # forked child lacks; a child that kept the parent's executor would
+        # wait on it forever
+        want = forked_run_bytes()
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=send_forked_run, args=(send,))
@@ -311,10 +328,16 @@ class TestSlopeTBatch:
         assert got == want
 
     def test_kernel_starts_at_most_one_thread(self):
+        # the kernel and an exact-MC miss share the package's one helper thread
         before = threading.active_count()
         for run in range(50):
             slope_t_batch(20, 0.3, SEED, np.arange(run * 100, run * 100 + 100))
+        critical_value_mc(30, 0.05, FORK_CV_PLAN)
         assert threading.active_count() <= before + 1
+        helpers = [t for t in threading.enumerate() if t.name.startswith("slopesize-helper")]
+        assert len(helpers) == 1
+        helpers = [t for t in threading.enumerate() if t.name.startswith("slopesize-helper")]
+        assert len(helpers) == 1
 
     def test_huge_effect_needs_no_resample(self):
         t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000))
