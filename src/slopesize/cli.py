@@ -147,7 +147,7 @@ def build_table(
     calls, so tables 2 and 5 (3 and 6, 4 and 7) search each cell once.
     """
     if which == 1:
-        rows = critvals.table1(range(20, 101), cv_plan)
+        rows = critvals.table1(range(20, 101), cv_plan, cache)
         rounding = {c: ".3f" for c in critvals.TABLE1_COLUMNS if c != "samplesize"}
         return rows, critvals.TABLE1_COLUMNS, rounding
     alpha = TABLE_ALPHAS[which]
@@ -161,7 +161,7 @@ def build_table(
     if which in (2, 3, 4):
         cols = ["lambda", "power", "n", "mean", "sd"]
         return searched[key], cols, {"mean": ".4f", "sd": ".4f"}
-    rows_c = corroute.contrast_table(alpha, searched[key], pw_plan)
+    rows_c = corroute.contrast_table(alpha, searched[key])
     rows = [
         {
             "lambda": r.lam,
@@ -260,7 +260,7 @@ def cmd_samplesize(args) -> int:
             raise UsageError("effect size must be nonzero")
         if args.lam is not None:
             _echo(f"lambda {args.lam} maps to rho {rho:.4f} (test hopping)")
-        res = corroute.find_sample_size_corr(rho, args.alpha, args.power, pw_plan)
+        res = corroute.find_sample_size_corr(rho, args.alpha, args.power)
         fields = {"n": res.n, "target_power": res.target_power,
                   "rho": round(rho, 6),
                   "power_at_n": round(res.validated_mean, 6), "route": res.route}

@@ -132,7 +132,8 @@ def corr_power_mc(n: int, rho: float, alpha: float, plan: SimPlan) -> PowerEstim
 
 
 def find_sample_size_corr(
-    rho: float, alpha: float, target: float, plan: SimPlan, *, n_ceiling: int = 10**6
+    rho: float, alpha: float, target: float, plan: SimPlan | None = None,
+    *, n_ceiling: int = 10**6,
 ) -> SampleSizeResult:
     """n with corr_power_approx(n) >= target > corr_power_approx(n - 1); plan is not read."""
     if not 0.0 < abs(rho) < 1.0:
@@ -155,7 +156,7 @@ def find_sample_size_corr(
     )
 
 
-def contrast_table(alpha: float, power_rows: list[dict], plan: SimPlan) -> list[ContrastRow]:
+def contrast_table(alpha: float, power_rows: list[dict]) -> list[ContrastRow]:
     """Slope-route versus correlation-route sample sizes, one row per search.
 
     power_rows are slope-route search rows {lambda, power, n, ...}, as made
@@ -166,7 +167,7 @@ def contrast_table(alpha: float, power_rows: list[dict], plan: SimPlan) -> list[
     for row in power_rows:
         lam, target, n_slope = row["lambda"], row["power"], row["n"]
         rho = lambda_to_rho(lam)
-        n_corr = find_sample_size_corr(rho, alpha, target, plan).n
+        n_corr = find_sample_size_corr(rho, alpha, target).n
         rows.append(
             ContrastRow(
                 alpha=alpha,

@@ -13,14 +13,17 @@ Both routes reproduce Table 1; neither is the data null law, under which
 T * sqrt(n-1) ~ t(n-2). At the ratio-law values the test is slightly
 conservative (size about 0.040 at alpha = 0.05, n = 30).
 
-Every exact-MC estimate is kept in process, keyed by (n, alpha, plan), and
-a miss draws the paper's three levels (TABLE1_LEVELS) along with the asked
-ones, so one set of draws at (n, plan) serves every level. The caller draws
-the even outer replicates and the package's helper thread the odd ones; each
-replicate reads only its own keyed streams, so the split moves no bit. The
-memo lives only as long as the process, so it can never be stale.
-Reuse across processes rests on a small text-file cache keyed on (n, alpha,
-reps_inner, reps_outer, master_seed), which sample-size searches read first.
+One function, critical_values_mc_multi, serves every exact-MC value: the
+CLI, Table 1, sample-size searches and critical_value_mc. It reads the
+optional text-file cache (keyed on n, alpha, reps_inner, reps_outer,
+master_seed), which is parsed afresh on every lookup, then the process's one
+in-process store (_MC_MEMO, keyed by (n, alpha, plan)), and only then draws.
+A draw also estimates the paper's three levels (TABLE1_LEVELS), so one set
+of draws at (n, plan) serves every level. The caller draws the even outer
+replicates and the package's helper thread the odd ones; each replicate
+reads only its own keyed streams, so the split moves no bit. The memo lives
+only as long as the process, so it can never be stale; the file carries
+values across processes.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ _MC_MEMO: dict[tuple[int, float, SimPlan], CriticalValueEstimate] = {}
 
 
 def critical_values_mc_multi(
-    n: int, alphas: list[float], plan: SimPlan
+    n: int, alphas: list[float], plan: SimPlan, cache: CriticalValueCache | None = None
 ) -> list[CriticalValueEstimate]:
     """Exact-MC critical values for several levels from one set of draws.
 
@@ -99,20 +102,23 @@ def critical_values_mc_multi(
     levels share draws and the result for each alpha is identical to a
     standalone critical_value_mc call with the same plan.
 
-    Each estimate is kept for the life of the process, keyed by (n, alpha,
-    plan); a request whose levels are all kept makes no draws. A miss runs
-    the replicate loop once for the asked levels together with
-    TABLE1_LEVELS and keeps every estimate it makes. The memo is gone when
-    the process ends; CriticalValueCache carries estimates across processes.
+    Each level is served, in order, from the cache file when it holds the
+    key, else from the estimates kept for the life of the process, keyed by
+    (n, alpha, plan). If any level is in neither, the replicate loop runs
+    once for those levels together with TABLE1_LEVELS and every estimate it
+    makes is kept. Each asked level the file lacked is then appended to it.
     The helper thread draws the odd replicates, so never call this on it
     (its one worker would wait on itself). If either half raises, the other
-    stops at its next replicate and the first error is raised; nothing is kept.
+    stops at its next replicate and the first error is raised; nothing is
+    kept or appended.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")
     alphas = [_check_alpha(a) for a in alphas]
-    if any((n, a, plan) not in _MC_MEMO for a in alphas):
-        levels = list(dict.fromkeys([*alphas, *TABLE1_LEVELS]))
+    filed = {} if cache is None else {a: cache.lookup(n, a, plan) for a in alphas}
+    missing = [a for a in alphas if filed.get(a) is None and (n, a, plan) not in _MC_MEMO]
+    if missing:
+        levels = list(dict.fromkeys([*missing, *TABLE1_LEVELS]))
         roots = np.empty((len(levels), plan.reps_outer))
         errors: list[BaseException] = []  # re-raised below, the first one
 
@@ -142,7 +148,10 @@ def critical_values_mc_multi(
                 sd=sd,
                 method=EXACT_MC,
             )
-    return [_MC_MEMO[(n, a, plan)] for a in alphas]
+    for a, hit in filed.items():
+        if hit is None:
+            cache.store(_MC_MEMO[(n, a, plan)], plan)
+    return [filed.get(a) or _MC_MEMO[(n, a, plan)] for a in alphas]
 
 
 def critical_value_mc(n: int, alpha: float, plan: SimPlan) -> CriticalValueEstimate:
@@ -164,13 +173,13 @@ def critical_value_normal(n: int, alpha: float) -> CriticalValueEstimate:
     return CriticalValueEstimate(n=n, alpha=alpha, value=value, sd=0.0, method=NORMAL_APPROX)
 
 
-def table1(n_values, plan: SimPlan) -> list[dict]:
+def table1(n_values, plan: SimPlan, cache: CriticalValueCache | None = None) -> list[dict]:
     """Rows of the critical-value table (both methods, levels 10/5/1 percent)."""
     rows = []
     for n in n_values:
         if not 5 <= n <= 10**6:
             raise ValueError(f"table rows need 5 <= n <= 1e6, got {n!r}")
-        exact = critical_values_mc_multi(n, list(TABLE1_LEVELS), plan)
+        exact = critical_values_mc_multi(n, list(TABLE1_LEVELS), plan, cache)
         rows.append(
             {
                 "samplesize": n,
@@ -194,31 +203,25 @@ class CriticalValueCache:
 
     Corrupted lines are skipped on load; a recomputed record for an existing
     key is appended and the latest record wins, which gives overwrite
-    semantics without rewriting the file. An instance parses the file once
-    and again only when its (st_mtime_ns, st_size) changes, so it sees lines
-    other instances append and a cleared file. I/O failures degrade to
-    recomputation with a warning rather than aborting the caller.
+    semantics without rewriting the file. The file is parsed on every
+    lookup and nothing is kept between calls, so a lookup sees lines other
+    instances or processes append and a cleared file. I/O failures degrade
+    to recomputation with a warning rather than aborting the caller.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        self._stamp = None  # (st_mtime_ns, st_size) of the file when last parsed
-        self._records: dict = {}
 
     @staticmethod
     def _key(n: int, alpha: float, plan: SimPlan) -> tuple:
         return (n, repr(float(alpha)), plan.reps_inner, plan.reps_outer, plan.master_seed)
 
     def _load(self) -> dict:
-        try:
-            st = self.path.stat()
-            stamp = (st.st_mtime_ns, st.st_size)
-        except FileNotFoundError:
-            stamp = None
-        if stamp == self._stamp:
-            return self._records
         records: dict = {}
-        text = "" if stamp is None else self.path.read_text()
+        try:
+            text = self.path.read_text()
+        except FileNotFoundError:
+            text = ""
         for line in text.splitlines():
             parts = line.split()
             if len(parts) != 7:
@@ -236,8 +239,6 @@ class CriticalValueCache:
             if not (value > 0.0 and sd >= 0.0 and 0.0 < alpha < 1.0):
                 continue
             records[(n, repr(alpha), inner, outer, seed)] = (value, sd)
-        self._stamp = stamp
-        self._records = records
         return records
 
     def lookup(self, n: int, alpha: float, plan: SimPlan) -> CriticalValueEstimate | None:
@@ -267,11 +268,4 @@ def cached_critical_value(
     n: int, alpha: float, plan: SimPlan, cache: CriticalValueCache | None = None
 ) -> CriticalValueEstimate:
     """Exact-MC critical value, served from the cache when the key matches."""
-    if cache is not None:
-        hit = cache.lookup(n, alpha, plan)
-        if hit is not None:
-            return hit
-    est = critical_value_mc(n, alpha, plan)
-    if cache is not None:
-        cache.store(est, plan)
-    return est
+    return critical_values_mc_multi(n, [alpha], plan, cache)[0]

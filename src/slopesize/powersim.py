@@ -244,7 +244,7 @@ class _Validation:
 
 
 class _SlopeSearch:
-    """State shared across one sample-size search (validations, critical values)."""
+    """State shared across one sample-size search (validation runs, scout windows)."""
 
     def __init__(
         self,
@@ -269,14 +269,6 @@ class _SlopeSearch:
         # unscored until the search asks for that size (see validate)
         self._window_abs_t: dict[int, list[np.ndarray]] = {}
         self._max_failed = 0
-        self._critvals: dict[int, CriticalValueEstimate] = {}
-
-    def critval(self, n: int) -> CriticalValueEstimate:
-        if n not in self._critvals:
-            self._critvals[n] = cached_critical_value(
-                n, self.alpha, self.critval_plan, self.cache
-            )
-        return self._critvals[n]
 
     def validate(self, n: int, runs: int, window=()) -> _Validation:
         """Mean and sd of the first `runs` validation runs at n.
@@ -288,7 +280,7 @@ class _SlopeSearch:
         window size it never asks for costs no critical value.
         """
         trials = self.plan.reps_inner
-        c = self.critval(n).value
+        c = cached_critical_value(n, self.alpha, self.critval_plan, self.cache).value
         powers = self._powers.setdefault(n, [])
         pending = self._window_abs_t.pop(n, [])
         powers.extend(np.count_nonzero(abs_t > c) / trials for abs_t in pending)
@@ -408,7 +400,7 @@ def find_sample_size_slope(
     # the correlation power is even in rho, which rounds to 1 for |lam| above ~1e8
     rho = min(abs(lambda_to_rho(lam)), math.nextafter(1.0, 0.0))
     try:
-        start = find_sample_size_corr(rho, alpha, target, plan, n_ceiling=n_ceiling).n
+        start = find_sample_size_corr(rho, alpha, target, n_ceiling=n_ceiling).n
     except SearchFailureError:
         raise SearchFailureError(
             f"the correlation route needs more than n_ceiling={n_ceiling} observations"

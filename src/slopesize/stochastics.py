@@ -14,7 +14,7 @@ helper thread (_helper) draws the replicate kernel's noise blocks and the odd
 outer replicates of an exact-MC miss while the caller draws the rest; each
 generator is read by one thread, in the same order and block shapes, and each
 result is written by one thread, so no value depends on which thread draws
-it. A forked child starts its own helper (an at-fork hook drops the parent's).
+it. A forked child gets its own helper (an at-fork hook binds a new executor).
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,29 +203,20 @@ def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
 
 
 # the package's one helper thread (powersim._slope_t_prefixes and
-# critvals.critical_values_mc_multi); importing the package starts no thread
-_helper_lock = threading.Lock()
-_helper_pool = None
-
-
-def _helper():
-    """The helper thread's executor, started on first use; never submit to it
-    from the helper thread itself, whose one worker would then wait on itself."""
+# critvals.critical_values_mc_multi); an executor starts its thread at its
+# first submit, so importing the package starts no thread
+def _start_helper() -> None:
     global _helper_pool
-    with _helper_lock:
-        if _helper_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slopesize-helper")
-        return _helper_pool
+    _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slopesize-helper")
 
 
-def _forget_helper() -> None:
-    # a forked child has no copy of the parent's helper thread, and work
-    # queued on the parent's executor would wait forever; start a new one
-    global _helper_lock, _helper_pool
-    _helper_lock = threading.Lock()
-    _helper_pool = None
+def _helper() -> ThreadPoolExecutor:
+    """The helper thread's executor; never submit to it from the helper
+    thread itself, whose one worker would then wait on itself."""
+    return _helper_pool
 
 
-os.register_at_fork(after_in_child=_forget_helper)
+_start_helper()
+# a forked child has no copy of the parent's helper thread, and work queued
+# on the parent's executor would wait forever; bind a new one
+os.register_at_fork(after_in_child=_start_helper)

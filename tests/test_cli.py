@@ -280,6 +280,27 @@ class TestTable:
         assert first[0] == "20"
         assert first[1] == "0.423"
 
+    def test_table1_fills_the_cache_and_reads_it_back(self, capsys, tmp_path, draw_calls):
+        cache_path = tmp_path / "cv.txt"
+
+        def table1(out):
+            argv = ["table", "--which", "1", "--seed", "9", "--reps-inner", "100",
+                    "--reps-outer", "3", "--cache-path", str(cache_path), "--out", str(out)]
+            assert run_cli(capsys, *argv)[0] == 0
+            return out.read_bytes()
+
+        first = table1(tmp_path / "first.csv")
+        records = cache_path.read_text()
+        assert sorted((int(line.split()[0]), float(line.split()[1]))
+                      for line in records.splitlines()) == sorted(
+            (n, alpha) for n in range(20, 101) for alpha in critvals.TABLE1_LEVELS
+        )
+        critvals._MC_MEMO.clear()
+        del draw_calls[:]
+        assert table1(tmp_path / "again.csv") == first
+        assert draw_calls == []
+        assert cache_path.read_text() == records
+
     def test_power_table_json_fields(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_LAMBDAS", [0.6])
         monkeypatch.setattr(cli, "DEFAULT_TARGETS", [0.80])

@@ -268,7 +268,7 @@ class TestContrastTable:
             cache=session_cache,
             critval_plan=SimPlan(reps_inner=1_000, reps_outer=50, master_seed=SEED),
         )
-        rows = contrast_table(0.10, power_rows, plan)
+        rows = contrast_table(0.10, power_rows)
         assert len(rows) == 1
         row = rows[0]
         assert row.alpha == 0.10

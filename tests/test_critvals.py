@@ -390,6 +390,20 @@ class TestCache:
         assert cli.main(["cache", "clear", "--cache-path", str(path)]) == 0
         assert cache.lookup(20, 0.05, PLAN) is None
 
+    def test_filed_level_is_served_and_only_missing_levels_appended(self, tmp_path, draw_calls):
+        path = tmp_path / "cv.txt"
+        cache = CriticalValueCache(path)
+        filed = dataclasses.replace(ESTIMATE, n=25)
+        cache.store(filed, SMALL)
+        before = path.read_text()
+        got = critical_values_mc_multi(25, [0.05, 0.2], SMALL, cache)
+        assert got[0] == filed
+        assert len(draw_calls) == SMALL.reps_outer
+        assert got[1] == fresh_mc(25, 0.2, SMALL)
+        assert path.read_text() == before + (
+            f"25 0.2 {SMALL.reps_inner} {SMALL.reps_outer} {SEED} {got[1].value!r} {got[1].sd!r}\n"
+        )
+
     def test_no_cache_object_computes(self):
         est = cached_critical_value(20, 0.10, PLAN, None)
         assert est == critical_value_mc(20, 0.10, PLAN)

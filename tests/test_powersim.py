@@ -4,8 +4,12 @@ import collections
 import hashlib
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,8 +340,17 @@ class TestSlopeTBatch:
         assert threading.active_count() <= before + 1
         helpers = [t for t in threading.enumerate() if t.name.startswith("slopesize-helper")]
         assert len(helpers) == 1
-        helpers = [t for t in threading.enumerate() if t.name.startswith("slopesize-helper")]
-        assert len(helpers) == 1
+
+    def test_import_starts_no_thread(self):
+        # the helper's executor exists from import on, but starts its thread
+        # only at the first submit
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import threading, slopesize; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out == "1\n"
 
     def test_huge_effect_needs_no_resample(self):
         t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000))
