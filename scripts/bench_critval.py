@@ -23,7 +23,11 @@ on both:
   corrmc      the correlation route's Monte Carlo power, corr_power_mc, at
               each of the 72 table cells' find_sample_size_corr sample size
               (lambda 0.1-0.6 x power 0.80-0.99 x alpha 0.10/0.05/0.01),
-              2,000 trials at seed 1, its total CPU and wall seconds.
+              2,000 trials at seed 1, its total CPU and wall seconds;
+  clihit      one in-process `slopesize critval --n 30 --alpha 0.05 --method
+              exact --fast --seed 1` answered from the exact-MC memo: after
+              one call that draws the value, the median CPU and wall seconds
+              of clihit_calls more calls.
 
 Times are time.process_time() of the measuring process, which adds up the
 CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
@@ -73,17 +77,21 @@ SEARCH_ARGV = ["samplesize", "--route", "slope", "--lambda", "0.5", "--alpha", "
                "--power", "0.90", "--seed", "1"]
 LEVELS_ARGV = [["critval", "--n", "30", "--alpha", alpha, "--method", "exact", "--seed", "1"]
                for alpha in ("0.10", "0.05", "0.01")]
+CLIHIT_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", "--fast",
+               "--seed", "1"]
 CORR_CELLS = [(lam, alpha, target) for alpha in (0.10, 0.05, 0.01)
               for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) for target in (0.80, 0.90, 0.95, 0.99)]
 TIMES = ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
          "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s", "corrmc_s",
          "corrmc_wall_s")
+HIT_TIMES = ("clihit_s", "clihit_wall_s")  # sub-millisecond, so kept to the microsecond
 PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
 FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": [],
-        "corrmc_trials": 2_000}
+        "corrmc_trials": 2_000, "clihit_calls": 200}
 QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
-         "reps": ["--reps-inner", "200", "--reps-outer", "3"], "corrmc_trials": 100}
+         "reps": ["--reps-inner", "200", "--reps-outer", "3"], "corrmc_trials": 100,
+         "clihit_calls": 10}
 
 
 # -- measuring process ------------------------------------------------------
@@ -113,6 +121,16 @@ def corr_mc_powers(trials: int) -> tuple[float, float, str]:
     powers = [corr_power_mc(n, rho, alpha, plan).power for n, (rho, alpha) in zip(sizes, cells)]
     cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     return cpu, wall, "".join(f"n={n} power={p.hex()}\n" for n, p in zip(sizes, powers))
+
+
+def cli_hits(cli, calls: int) -> tuple[float, float, str]:
+    """Median CPU and wall seconds of memo-hit CLIHIT_ARGV calls, and their stdout."""
+    _, _, miss_out = run_cli(cli, CLIHIT_ARGV)
+    hits = [run_cli(cli, CLIHIT_ARGV) for _ in range(calls)]
+    if any(out != miss_out for _, _, out in hits):
+        raise RuntimeError("a memo hit printed other bytes than the draw it repeats")
+    return (statistics.median(cpu for cpu, _, _ in hits),
+            statistics.median(wall for _, wall, _ in hits), miss_out)
 
 
 def measure(sizes: dict) -> dict:
@@ -156,6 +174,7 @@ def measure(sizes: dict) -> dict:
     getattr(critvals, "_MC_MEMO", {}).clear()
     levels = [run_cli(cli, argv + sizes["reps"]) for argv in LEVELS_ARGV]
     corrmc_s, corrmc_wall, corrmc_out = corr_mc_powers(sizes["corrmc_trials"])
+    clihit_s, clihit_wall, clihit_out = cli_hits(cli, sizes["clihit_calls"])
     return {
         "chisq_us_per_10k": chisq,
         "critval_request_s": round(critval_s, 3),
@@ -169,8 +188,11 @@ def measure(sizes: dict) -> dict:
         "levels_wall_s": round(sum(wall for _, wall, _ in levels), 3),
         "corrmc_s": round(corrmc_s, 3),
         "corrmc_wall_s": round(corrmc_wall, 3),
+        "clihit_s": round(clihit_s, 6),
+        "clihit_wall_s": round(clihit_wall, 6),
         "stdout": {"critval": critval_out, "search": search_out,
-                   "levels": "".join(out for _, _, out in levels), "corrmc": corrmc_out},
+                   "levels": "".join(out for _, _, out in levels), "corrmc": corrmc_out,
+                   "clihit": clihit_out},
     }
 
 
@@ -258,6 +280,7 @@ def _median(runs: list[dict]) -> dict:
             for df in runs[0]["chisq_us_per_10k"]
         },
         **{key: round(statistics.median(r[key] for r in runs), 3) for key in TIMES},
+        **{key: round(statistics.median(r[key] for r in runs), 6) for key in HIT_TIMES},
     }
 
 
@@ -268,7 +291,7 @@ def _change(before: dict, after: dict) -> dict:
     return {
         "chisq_us_per_10k": {df: rel(before["chisq_us_per_10k"][df], after["chisq_us_per_10k"][df])
                              for df in before["chisq_us_per_10k"]},
-        **{key: rel(before[key], after[key]) for key in TIMES},
+        **{key: rel(before[key], after[key]) for key in (*TIMES, *HIT_TIMES)},
     }
 
 
@@ -291,7 +314,8 @@ def main(argv=None) -> int:
     report = {
         "benchmark": "exact-MC critical values: chi-square sampler, one critval request, "
                      "critical values inside one slope search, three levels at one n; "
-                     "replicate kernel: corr_power_mc at the 72 table cells",
+                     "replicate kernel: corr_power_mc at the 72 table cells; "
+                     "a memo-hit critval request in process",
         "timer": "time.process_time (CPU of all threads) of a fresh process per side and pair, "
                  "sides alternating; *_wall_s fields are time.perf_counter",
         "quick": args.quick,
@@ -302,9 +326,10 @@ def main(argv=None) -> int:
                                 for argv in LEVELS_ARGV],
                      "corrmc": "corroute.corr_power_mc(find_sample_size_corr(rho, alpha, target).n, "
                                "rho, alpha, SimPlan(corrmc_trials, 1, 1)), rho = lambda_to_rho(lam), "
-                               "per cell"},
+                               "per cell",
+                     "clihit": "slopesize " + " ".join(CLIHIT_ARGV)},
         "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys", "critval": 1, "search": 1,
-                  "levels": 1, "corrmc": 1},
+                  "levels": 1, "corrmc": 1, "clihit": 1},
         "machine": machine(),
         "stdout": first,
         "outputs_identical": identical,

@@ -15,12 +15,18 @@ replayed. SLOPESIZE_SEED and SLOPESIZE_CACHE provide environment defaults
 for the seed and cache path; flags take precedence.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or search failure.
+
+main can be called any number of times in one process. The parser is built
+on the first call, not at import, and shared by every later call, so a
+caller must not mutate what build_parser() returns; each call's state lives
+only in the Namespace that call parses.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -209,6 +215,7 @@ def cmd_power(args) -> int:
     if args.route == "slope":
         if args.lam is None:
             raise UsageError("--route slope needs --lambda")
+        powersim.check_slope_power_args(args.n, args.lam)
         c = critvals.cached_critical_value(args.n, args.alpha, cv_plan, _resolve_cache(args))
         est = powersim.simulate_power_slope(
             args.n, args.lam, args.alpha, c, pw_plan.reps_inner, seed
@@ -311,7 +318,9 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--cache-path", default=None, help="critical-value cache file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="slopesize",
         description="Critical values, power, and sample sizes for the slope test "

@@ -126,6 +126,11 @@ def _block_sums(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_lam(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+
+
 def _slope_t_prefixes(
     lengths, lam: float, master_seed: int, tasks, roles: tuple[int, int]
 ) -> list[np.ndarray]:
@@ -155,8 +160,7 @@ def _slope_t_prefixes(
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
         raise ValueError("tasks must be a nonempty range of consecutive task ids")
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam!r}")
+    _check_lam(lam)
     if min(lengths) < 4:
         raise ValueError(f"n must be at least 4, got {min(lengths)!r}")
     trials = tasks.size
@@ -210,6 +214,16 @@ def slope_t_batch(n: int, lam: float, master_seed: int, tasks: np.ndarray) -> np
     return _slope_t_prefixes((n,), lam, master_seed, tasks, _SLOPE_ROLES)[0]
 
 
+def check_slope_power_args(n: int, lam: float) -> None:
+    """Raise the ValueError simulate_power_slope would raise for n or lam.
+
+    A caller that draws the critical value first calls this before the draw.
+    """
+    if n < 5:
+        raise ValueError(f"n must be at least 5, got {n!r}")
+    _check_lam(lam)
+
+
 def simulate_power_slope(
     n: int,
     lam: float,
@@ -225,8 +239,7 @@ def simulate_power_slope(
     independent and runs with equal bases share draws (common random
     numbers).
     """
-    if n < 5:
-        raise ValueError(f"n must be at least 5, got {n!r}")
+    check_slope_power_args(n, lam)
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps!r}")
     tasks = np.arange(task_base, task_base + reps, dtype=np.int64)

@@ -1,7 +1,11 @@
 """Command-line surface: parsing, output contracts, exit codes, determinism."""
 
+import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if any exact-MC critical value is drawn."""
+    def refuse(*args):
+        raise AssertionError(f"t2_null_draws{args} was called")
+
+    monkeypatch.setattr(critvals, "t2_null_draws", refuse)
 
 
 class TestPlans:
@@ -152,7 +165,7 @@ class TestPower:
         assert json.loads(out)["power"] == pytest.approx(0.9095, abs=0.05)
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
-    def test_nonfinite_lambda_is_usage_error(self, capsys, lam):
+    def test_nonfinite_lambda_is_usage_error(self, capsys, no_draws, lam):
         code, out, err = run_cli(
             capsys, "power", "--route", "slope", "--n", "30", "--lambda", lam,
             "--alpha", "0.05", "--fast", "--seed", "1",
@@ -160,6 +173,17 @@ class TestPower:
         assert code == 2
         assert out == ""
         assert "lam must be finite" in err
+        assert critvals._MC_MEMO == {}
+
+    def test_too_small_n_is_usage_error_before_any_draw(self, capsys, no_draws):
+        code, out, err = run_cli(
+            capsys, "power", "--route", "slope", "--n", "4", "--lambda", "0.5",
+            "--alpha", "0.05", "--fast", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "n must be at least 5, got 4" in err
+        assert critvals._MC_MEMO == {}
 
     @pytest.mark.parametrize("route, role", [
         (["--route", "slope", "--lambda", "0.5"], 100),
@@ -419,3 +443,94 @@ def test_golden_stdout(capsys, monkeypatch, command, stdout):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert out == stdout
+
+
+class TestParserReuse:
+    """main builds the parser once per process and keeps no state between calls."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A list that gets one entry per slopesize parser built from now on."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            if kwargs.get("prog") == "slopesize":
+                built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        return built
+
+    def test_many_calls_build_the_parser_once(self, capsys, built):
+        for _ in range(5):
+            code, _, _ = run_cli(
+                capsys, "critval", "--n", "30", "--alpha", "0.05", "--method", "normal"
+            )
+            assert code == 0
+        assert len(built) == 1
+        assert cli.build_parser() is built[0]
+
+    def test_golden_stdout_survives_errors_and_help(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+
+        def check(golden):
+            for command, stdout in golden:
+                assert run_cli(capsys, *command.split())[:2] == (0, stdout)
+
+        check(GOLDEN_STDOUT)
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["critval", "--n", "x"])
+        with pytest.raises(SystemExit) as help_:
+            cli.main(["power", "--help"])
+        assert (usage.value.code, help_.value.code) == (2, 0)
+        capsys.readouterr()
+        check(reversed(GOLDEN_STDOUT))
+
+    def test_no_flag_leaks_into_the_next_call(self, capsys, monkeypatch):
+        seen = []
+
+        def stop(args):
+            seen.append(args)
+            raise cli.UsageError("stopped before any work")
+
+        monkeypatch.setattr(cli, "_plans", stop)
+        flags = ["--fast", "--format", "json", "--cache-path", "cv.txt", "--seed", "7"]
+        corr = ["power", "--route", "corr", "--n", "30", "--rho", "0.3", "--alpha", "0.05"]
+        critval = ["critval", "--n", "30", "--alpha", "0.05"]
+        assert cli.main([*corr, "--mc", *flags], power_rows={}) == cli.EXIT_USAGE
+        assert cli.main(corr) == cli.EXIT_USAGE
+        assert cli.main([*critval, *flags]) == cli.EXIT_USAGE
+        assert cli.main(critval) == cli.EXIT_USAGE
+        capsys.readouterr()
+        flagged_power, plain_power, flagged_critval, plain_critval = seen
+        assert len({id(args) for args in seen}) == 4
+        for flagged in (flagged_power, flagged_critval):
+            assert (flagged.fast, flagged.format, flagged.cache_path, flagged.seed) == (
+                True, "json", "cv.txt", 7)
+        for plain in (plain_power, plain_critval):
+            assert (plain.fast, plain.format, plain.cache_path, plain.seed) == (
+                False, "text", None, None)
+            assert plain.power_rows is None
+        assert flagged_power.mc is True and plain_power.mc is False
+        assert not hasattr(plain_critval, "mc") and not hasattr(plain_critval, "route")
+
+    def test_import_builds_no_parser(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(parser, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(parser, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import slopesize.cli\n"
+            "print(len(built))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out == "0\n"
