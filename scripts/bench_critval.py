@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Speed of the exact-MC critical values and the replicate kernel, before and after a change.
+"""Speed of exact-MC critical values, the kernel and the search, before and after a change.
 
-Measures five layers, each in a fresh process per side and pair, with the
+Measures seven layers, each in a fresh process per side and pair, with the
 sides alternating (ABAB, then BABA) so that drift of the host's speed falls
 on both:
 
@@ -12,8 +12,11 @@ on both:
               (10,000 x 1,000 draws), its CPU and wall seconds;
   search      the full-fidelity search cell `slopesize samplesize --route
               slope --lambda 0.5 --alpha 0.05 --power 0.90 --seed 1`, its
-              total CPU and wall seconds and the CPU and wall seconds spent
-              inside the critical values it computes (no cache file);
+              total CPU and wall seconds, the CPU and wall seconds spent
+              inside the critical values it computes (no cache file), the
+              validation runs it draws and the peak RSS of the measuring
+              process after it (which covers the chisq and critval layers
+              before it);
   levels      the three Table 1 levels at one n, `slopesize critval --n 30
               --alpha 0.10|0.05|0.01 --method exact --seed 1`, run one after
               the other in the measuring process, their total CPU and wall
@@ -27,7 +30,14 @@ on both:
   clihit      one in-process `slopesize critval --n 30 --alpha 0.05 --method
               exact --fast --seed 1` answered from the exact-MC memo: after
               one call that draws the value, the median CPU and wall seconds
-              of clihit_calls more calls.
+              of clihit_calls more calls;
+  scouts      the three slope searches of the benchmark's slope_search
+              workload (bench/workloads.py) at its plans, power 1,000 x 51
+              and critical values 10,000 x 10: cells (lambda, alpha, power)
+              (0.6, 0.10, 0.80), (0.6, 0.10, 0.90) and (0.5, 0.10, 0.80) at
+              power seeds 1, 2 and 1 and critical-value seed 1, drawn afresh
+              (no cache file, the exact-MC memo emptied first); the
+              validation runs they draw and their CPU and wall seconds.
 
 Times are time.process_time() of the measuring process, which adds up the
 CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
@@ -60,6 +70,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -79,19 +90,23 @@ LEVELS_ARGV = [["critval", "--n", "30", "--alpha", alpha, "--method", "exact", "
                for alpha in ("0.10", "0.05", "0.01")]
 CLIHIT_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", "--fast",
                "--seed", "1"]
+# (lambda, alpha, target power, power-plan seed), as in bench/workloads.py
+SCOUT_CELLS = [(0.6, 0.10, 0.80, 1), (0.6, 0.10, 0.90, 2), (0.5, 0.10, 0.80, 1)]
 CORR_CELLS = [(lam, alpha, target) for alpha in (0.10, 0.05, 0.01)
               for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) for target in (0.80, 0.90, 0.95, 0.99)]
 TIMES = ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
          "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s", "corrmc_s",
-         "corrmc_wall_s")
+         "corrmc_wall_s", "scouts_s", "scouts_wall_s")
+COUNTS = ("search_runs", "scouts_runs")  # validation runs drawn
 HIT_TIMES = ("clihit_s", "clihit_wall_s")  # sub-millisecond, so kept to the microsecond
 PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
 FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": [],
-        "corrmc_trials": 2_000, "clihit_calls": 200}
+        "corrmc_trials": 2_000, "clihit_calls": 200, "scouts_power": [1_000, 51],
+        "scouts_critval": [10_000, 10]}
 QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
          "reps": ["--reps-inner", "200", "--reps-outer", "3"], "corrmc_trials": 100,
-         "clihit_calls": 10}
+         "clihit_calls": 10, "scouts_power": [200, 3], "scouts_critval": [1_000, 3]}
 
 
 # -- measuring process ------------------------------------------------------
@@ -133,6 +148,48 @@ def cli_hits(cli, calls: int) -> tuple[float, float, str]:
             statistics.median(wall for _, wall, _ in hits), miss_out)
 
 
+@contextlib.contextmanager
+def counting_validation_runs():
+    """Count the validation runs the slope search draws: kernel calls at validation task ids."""
+    from slopesize import powersim
+    from slopesize.stochastics import VALIDATION_TASK_BASE
+
+    kernel = powersim._slope_t_prefixes
+    count = {"runs": 0}
+
+    def counting(lengths, lam, master_seed, tasks, roles):
+        if tasks[0] >= VALIDATION_TASK_BASE:
+            count["runs"] += 1
+        return kernel(lengths, lam, master_seed, tasks, roles)
+
+    powersim._slope_t_prefixes = counting
+    try:
+        yield count
+    finally:
+        powersim._slope_t_prefixes = kernel
+
+
+def scout_searches(sizes: dict) -> tuple[int, float, float, str]:
+    """Validation runs drawn, CPU and wall seconds of the SCOUT_CELLS searches, and their output."""
+    from slopesize import critvals, powersim
+    from slopesize.stochastics import SimPlan
+
+    getattr(critvals, "_MC_MEMO", {}).clear()
+    cv_plan = SimPlan(*sizes["scouts_critval"], master_seed=1)
+    with counting_validation_runs() as drawn:
+        cpu, wall = time.process_time(), time.perf_counter()
+        results = [
+            powersim.find_sample_size_slope(lam, alpha, target,
+                                            SimPlan(*sizes["scouts_power"], master_seed=seed),
+                                            critval_plan=cv_plan)
+            for lam, alpha, target, seed in SCOUT_CELLS
+        ]
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    out = "".join(f"n={r.n} mean={r.validated_mean.hex()} sd={r.validated_sd.hex()}\n"
+                  for r in results)
+    return drawn["runs"], cpu, wall, out
+
+
 def measure(sizes: dict) -> dict:
     """One measurement of every layer with the slopesize found on sys.path."""
     from slopesize import cli, critvals, powersim
@@ -165,9 +222,11 @@ def measure(sizes: dict) -> dict:
 
     powersim.cached_critical_value = timed
     try:
-        search_s, search_wall, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
+        with counting_validation_runs() as search_drawn:
+            search_s, search_wall, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
     finally:
         powersim.cached_critical_value = inner
+    search_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     # the critval request above left n = 30 at seed 1 in the exact-MC memo of
     # a tree that has one; empty it so that the first level draws afresh
@@ -175,6 +234,7 @@ def measure(sizes: dict) -> dict:
     levels = [run_cli(cli, argv + sizes["reps"]) for argv in LEVELS_ARGV]
     corrmc_s, corrmc_wall, corrmc_out = corr_mc_powers(sizes["corrmc_trials"])
     clihit_s, clihit_wall, clihit_out = cli_hits(cli, sizes["clihit_calls"])
+    scouts_runs, scouts_s, scouts_wall, scouts_out = scout_searches(sizes)
     return {
         "chisq_us_per_10k": chisq,
         "critval_request_s": round(critval_s, 3),
@@ -184,15 +244,20 @@ def measure(sizes: dict) -> dict:
         "search_critval_s": round(spent["s"], 3),
         "search_critval_wall_s": round(spent["wall_s"], 3),
         "search_critval_calls": spent["calls"],
+        "search_runs": search_drawn["runs"],
+        "search_peak_rss_mb": round(search_rss_mb, 1),
         "levels_s": round(sum(cpu for cpu, _, _ in levels), 3),
         "levels_wall_s": round(sum(wall for _, wall, _ in levels), 3),
         "corrmc_s": round(corrmc_s, 3),
         "corrmc_wall_s": round(corrmc_wall, 3),
         "clihit_s": round(clihit_s, 6),
         "clihit_wall_s": round(clihit_wall, 6),
+        "scouts_runs": scouts_runs,
+        "scouts_s": round(scouts_s, 3),
+        "scouts_wall_s": round(scouts_wall, 3),
         "stdout": {"critval": critval_out, "search": search_out,
                    "levels": "".join(out for _, _, out in levels), "corrmc": corrmc_out,
-                   "clihit": clihit_out},
+                   "clihit": clihit_out, "scouts": scouts_out},
     }
 
 
@@ -281,6 +346,7 @@ def _median(runs: list[dict]) -> dict:
         },
         **{key: round(statistics.median(r[key] for r in runs), 3) for key in TIMES},
         **{key: round(statistics.median(r[key] for r in runs), 6) for key in HIT_TIMES},
+        **{key: statistics.median(r[key] for r in runs) for key in (*COUNTS, "search_peak_rss_mb")},
     }
 
 
@@ -291,7 +357,8 @@ def _change(before: dict, after: dict) -> dict:
     return {
         "chisq_us_per_10k": {df: rel(before["chisq_us_per_10k"][df], after["chisq_us_per_10k"][df])
                              for df in before["chisq_us_per_10k"]},
-        **{key: rel(before[key], after[key]) for key in (*TIMES, *HIT_TIMES)},
+        **{key: rel(before[key], after[key])
+           for key in (*TIMES, *HIT_TIMES, *COUNTS, "search_peak_rss_mb")},
     }
 
 
@@ -315,11 +382,13 @@ def main(argv=None) -> int:
         "benchmark": "exact-MC critical values: chi-square sampler, one critval request, "
                      "critical values inside one slope search, three levels at one n; "
                      "replicate kernel: corr_power_mc at the 72 table cells; "
-                     "a memo-hit critval request in process",
+                     "a memo-hit critval request in process; "
+                     "the three slope_search cells of the benchmark",
         "timer": "time.process_time (CPU of all threads) of a fresh process per side and pair, "
                  "sides alternating; *_wall_s fields are time.perf_counter",
         "quick": args.quick,
-        "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS), "corrmc_cells": len(CORR_CELLS)},
+        "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS), "corrmc_cells": len(CORR_CELLS),
+                  "scout_cells": [list(cell) for cell in SCOUT_CELLS]},
         "commands": {"critval": "slopesize " + " ".join(CRITVAL_ARGV + sizes["reps"]),
                      "search": "slopesize " + " ".join(SEARCH_ARGV + sizes["reps"]),
                      "levels": ["slopesize " + " ".join(argv + sizes["reps"])
@@ -327,9 +396,14 @@ def main(argv=None) -> int:
                      "corrmc": "corroute.corr_power_mc(find_sample_size_corr(rho, alpha, target).n, "
                                "rho, alpha, SimPlan(corrmc_trials, 1, 1)), rho = lambda_to_rho(lam), "
                                "per cell",
-                     "clihit": "slopesize " + " ".join(CLIHIT_ARGV)},
+                     "clihit": "slopesize " + " ".join(CLIHIT_ARGV),
+                     "scouts": "powersim.find_sample_size_slope(lam, alpha, target, "
+                               "SimPlan(*scouts_power, seed), "
+                               "critval_plan=SimPlan(*scouts_critval, 1)) "
+                               "per cell (lam, alpha, target, seed) of scout_cells"},
         "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys", "critval": 1, "search": 1,
-                  "levels": 1, "corrmc": 1, "clihit": 1},
+                  "levels": 1, "corrmc": 1, "clihit": 1,
+                  "scouts": {"power": [seed for *_, seed in SCOUT_CELLS], "critval": 1}},
         "machine": machine(),
         "stdout": first,
         "outputs_identical": identical,

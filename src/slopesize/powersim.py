@@ -30,15 +30,18 @@ mean is monotone in n. Validation replays the estimate across
 plan.reps_outer independent runs of plan.reps_inner trials each. Run v has
 the same task keys at every n, so a search simulates each run at each n at
 most once: run powers are memoized per n, and a full validation extends its
-scout instead of repeating it. A scout that starts a fresh n also takes,
-from the same draws, the runs' t values at the few sizes just below n that
-the refinement steps to next (see _SCOUT_WINDOW), and scores them when the
-search first asks for one of those sizes. Critical values are computed only
-at the sizes the search validates.
+scout instead of repeating it. The draws of a validation also give the same
+runs' t values at a window of sizes around n, kept unscored until the
+search first asks for one of them (see _SCOUT_WINDOW): a scout that starts
+a fresh n takes the few sizes just below n that the refinement steps to
+from a passing n, and every validation that draws runs takes n + 1, where
+it steps from a failing n, while n + 1 lies below every size known to pass.
+Critical values are computed only at the sizes the search validates.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -87,7 +90,11 @@ _CHUNK_VARIATES = 4096 * 64
 
 # sizes below a fresh scout whose run powers come from the scout's draws.
 # From a passing start the refinement tries start-1, then start-3, then
-# bisects between them, so these are the sizes it asks for next.
+# bisects between them, so these are the sizes it asks for next. Above n the
+# window is the one size n + 1, which every validation that draws runs also
+# cuts while it is open (see _SlopeSearch._above): the refinement steps there
+# from a failing n, and the conservative ratio-law critical value puts the
+# answer a size or more above the Fisher-z start on most cells.
 _SCOUT_WINDOW = 3
 
 
@@ -113,17 +120,36 @@ class SampleSizeResult:
     route: str
 
 
-def _block_sums(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Per-column (sum x, sum e, sum x^2, sum x*e, sum e^2) of a block, shape (5, trials)."""
-    return np.array(
-        [
-            x.sum(axis=0),
-            e.sum(axis=0),
-            np.einsum("ij,ij->j", x, x),
-            np.einsum("ij,ij->j", x, e),
-            np.einsum("ij,ij->j", e, e),
-        ]
-    )
+def _cut_sums(a: np.ndarray, b: np.ndarray | None, cuts: list[int], out: np.ndarray) -> None:
+    """Column sums of a * b (of a when b is None) over the first c rows of a
+    block, written to out[k] for the k-th cut c in ascending cuts.
+
+    The first cut is reduced whole and each later one adds its own rows, one
+    at a time, to the cut before it. numpy reduces the rows of a block one
+    after another, so these are the additions, in the same order, that
+    reducing a[:c] whole makes: every row is bit-identical to it.
+    """
+    lo = cuts[0]
+    if b is None:
+        acc = a[:lo].sum(axis=0, out=out[0])
+    else:
+        acc = np.einsum("ij,ij->j", a[:lo], b[:lo], out=out[0])
+    k = 1
+    for row in range(lo, cuts[-1]):
+        term = a[row] if b is None else a[row] * b[row]
+        if row + 1 == cuts[k]:
+            acc = np.add(acc, term, out=out[k])
+            k += 1
+        else:
+            acc = acc + term
+
+
+def _noise_block(e_gen, e: np.ndarray, cuts: list[int], out: np.ndarray) -> None:
+    """Fill the block e from e_gen and write its sums of e and e^2 at each
+    cut to out[0] and out[1]; runs on the helper thread."""
+    e_gen.standard_normal(out=e)
+    _cut_sums(e, None, cuts, out[0])
+    _cut_sums(e, e, cuts, out[1])
 
 
 def _check_lam(lam: float) -> None:
@@ -143,19 +169,23 @@ def _slope_t_prefixes(
     per trial, so memory is bounded for any n; the response is lam * x + e.
     Each block's sums of x, e, x^2, x*e and e^2 are added to running sums,
     and the value at m adds the first m - kR rows of block k to the sums of
-    the full blocks below it. As R depends only on the trial count, a size
-    m is bit-identical to a run drawn at m (common random numbers). The fit
-    is closed on e alone: the residuals of y on x are those of e, so RSS =
-    S_EE - S_XE^2 / S_XX and beta1_hat = lam + S_XE / S_XX, free of
-    cancellation at any lam. A degenerate trial (zero S_XX or zero RSS, a
-    probability-zero event) raises SearchFailureError naming its task id.
+    the full blocks below it; within a block, each size past the smallest
+    adds its own rows to the size before it (_cut_sums), and t at every
+    size is closed in one (sizes x trials) pass. As R depends only on the
+    trial count, a size m is bit-identical to a run drawn at m (common
+    random numbers). The fit is closed on e alone: the residuals of y on x
+    are those of e, so RSS = S_EE - S_XE^2 / S_XX and beta1_hat = lam +
+    S_XE / S_XX, free of cancellation at any lam. A degenerate trial (zero
+    S_XX or zero RSS, a probability-zero event) raises SearchFailureError
+    naming its task id.
 
-    Each block of e is drawn on the helper thread while this thread draws
-    the block of x; numpy releases the GIL while it fills normals, so the
-    two draws run on two cores. Each stream is still read by one thread,
-    in the same order and in the same block shapes, so the values do not
-    depend on the helper: they are bit-identical to drawing both blocks
-    here. An error raised while drawing e reaches the caller unchanged.
+    Each block of e is drawn, and its sums of e and e^2 taken, on the
+    helper thread while this thread draws and sums the block of x; numpy
+    releases the GIL while it fills normals, so the two draws run on two
+    cores. Each stream is still read by one thread, in the same order and
+    in the same block shapes, so the values do not depend on the helper:
+    they are bit-identical to drawing both blocks here. An error raised
+    while drawing e reaches the caller unchanged.
     """
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
@@ -169,38 +199,56 @@ def _slope_t_prefixes(
     x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
     e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
     helper = _helper()
-    sums: dict[int, np.ndarray] = {}
-    total = np.zeros((5, trials))  # sums over the full blocks read so far
+    sizes = sorted(set(lengths))
+    # sums of x, e, x^2, x*e and e^2 at each size and over the full blocks
+    # read so far
+    sums = np.empty((5, len(sizes), trials))
+    total = np.zeros((5, trials))
+    # every block is drawn into these two buffers, which this thread owns,
+    # so a run holds one block of each stream at a time
+    x_rows, e_rows = np.empty((2, min(rows, n), trials))
+    first = 0  # the first size past the blocks read so far
     for start in range(0, n, rows):
         size = min(rows, n - start)
-        e_block = helper.submit(e_gen.standard_normal, (size, trials))
-        x = x_gen.standard_normal((size, trials))
-        e = e_block.result()
-        for cut in {m - start for m in lengths if start < m <= start + size}:
-            sums[start + cut] = total + _block_sums(x[:cut], e[:cut])
-        if start + size < n:
-            full = sums.get(start + rows)
-            total = full if full is not None else total + _block_sums(x, e)
-    out = []
-    for m in lengths:
-        # one-pass sums lose nothing to cancellation here: x and e are
-        # mean-zero normals (mu_x = beta0 = 0 in the reduced model), so
-        # (sum x)^2 / m is O(1) against sum x^2 ~ m, and likewise for e
-        sx, se, sxx, sxe, see = sums[m]
-        sxx = sxx - sx * sx / m
-        sxe = sxe - sx * se / m
-        see = see - se * se / m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rss = see - sxe * sxe / sxx
-            t = (lam + sxe / sxx) * np.sqrt(sxx / (m - 1)) / np.sqrt(rss / (m - 2))
-        bad = (sxx == 0.0) | (rss <= 0.0)
-        if bad.any():
-            task = int(tasks[np.argmax(bad)])
+        last = bisect.bisect_right(sizes, start + size)
+        cuts = [m - start for m in sizes[first:last]]
+        carry = start + size < n and size not in cuts
+        if carry:
+            cuts.append(size)  # the whole block carries into the next one
+        block = np.empty((5, len(cuts), trials)) if carry else sums[:, first:last]
+        x, e = x_rows[:size], e_rows[:size]
+        e_block = helper.submit(_noise_block, e_gen, e, cuts, block[1::3])
+        x_gen.standard_normal(out=x)
+        _cut_sums(x, None, cuts, block[0])
+        _cut_sums(x, x, cuts, block[2])
+        e_block.result()
+        _cut_sums(x, e, cuts, block[3])
+        block += total[:, None]
+        if carry:
+            sums[:, first:last] = block[:, :-1]
+        total = block[:, -1]
+        first = last
+    # one-pass sums lose nothing to cancellation here: x and e are
+    # mean-zero normals (mu_x = beta0 = 0 in the reduced model), so
+    # (sum x)^2 / m is O(1) against sum x^2 ~ m, and likewise for e;
+    # every size is closed in one (sizes x trials) pass
+    sx, se, sxx, sxe, see = sums
+    m = np.array(sizes, dtype=float)[:, None]
+    sxx = sxx - sx * sx / m
+    sxe = sxe - sx * se / m
+    see = see - se * se / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rss = see - sxe * sxe / sxx
+        t = (lam + sxe / sxx) * np.sqrt(sxx / (m - 1)) / np.sqrt(rss / (m - 2))
+    bad = dict(zip(sizes, (sxx == 0.0) | (rss <= 0.0)))
+    for length in lengths:
+        if bad[length].any():
+            task = int(tasks[np.argmax(bad[length])])
             raise SearchFailureError(
-                f"the trial of task id {task} is degenerate at n={m} (S_XX = 0 or RSS <= 0)"
+                f"the trial of task id {task} is degenerate at n={length} (S_XX = 0 or RSS <= 0)"
             )
-        out.append(t)
-    return out
+    t_at = dict(zip(sizes, t))
+    return [t_at[length] for length in lengths]
 
 
 def slope_t_batch(n: int, lam: float, master_seed: int, tasks: np.ndarray) -> np.ndarray:
@@ -278,25 +326,30 @@ class _SlopeSearch:
         self.scout_runs = min(50, plan.reps_outer)
         # powers of validation runs 0, 1, ... at each n; lists only grow
         self._powers: dict[int, list[float]] = {}
-        # |t| of the scout runs a fresh scout drew for a size below it, kept
-        # unscored until the search asks for that size (see validate)
+        # |t| of runs 0, 1, ... that a validation drew for a size in its
+        # window, kept unscored until the search asks for that size (see
+        # validate)
         self._window_abs_t: dict[int, list[np.ndarray]] = {}
         self._max_failed = 0
+        self._min_passed = math.inf
 
-    def validate(self, n: int, runs: int, window=()) -> _Validation:
+    def validate(self, n: int, runs: int, below=()) -> _Validation:
         """Mean and sd of the first `runs` validation runs at n.
 
         Only runs not yet simulated at n are drawn. Their draws also give
-        the same runs' |t| values at each size in window, which the caller
-        keeps to sizes below n with no runs yet; those are scored against
-        their critical value only once the search asks for that size, so a
-        window size it never asks for costs no critical value.
+        the same runs' |t| values at each size of a window around n: the
+        sizes in below, which the caller keeps to sizes under a fresh n with
+        no runs yet (see _window), and n + 1 while it is open (see _above).
+        Window values are kept unscored and scored against their critical
+        value only once the search asks for that size, so a window size it
+        never asks for costs no critical value.
         """
         trials = self.plan.reps_inner
         c = cached_critical_value(n, self.alpha, self.critval_plan, self.cache).value
         powers = self._powers.setdefault(n, [])
         pending = self._window_abs_t.pop(n, [])
         powers.extend(np.count_nonzero(abs_t > c) / trials for abs_t in pending)
+        window = (*below, *self._above(n, len(powers)))
         lengths = (n, *window)
         for v in range(len(powers), runs):
             base = VALIDATION_TASK_BASE + v * trials
@@ -315,16 +368,30 @@ class _SlopeSearch:
         return self.validate(n, self.plan.reps_outer)
 
     def _window(self, n: int) -> list[int]:
-        """Sizes whose scout runs a fresh scout at n can take from its draws."""
+        """Sizes below n whose scout runs a fresh scout at n takes from its draws."""
         drawn = self._powers.keys() | self._window_abs_t.keys()
         if n in drawn:
             return []
         below = range(n - 1, n - 1 - _SCOUT_WINDOW, -1)
         return [m for m in below if m >= 5 and m > self._max_failed and m not in drawn]
 
+    def _above(self, n: int, first: int) -> list[int]:
+        """[n + 1] if runs drawn at n from run `first` on also keep n + 1, else [].
+
+        n + 1 is open while it lies below every size known to pass, has
+        never been scored, and its kept runs end at run `first`, so that the
+        runs kept at a size stay contiguous from run 0.
+        """
+        up = n + 1
+        kept = len(self._window_abs_t.get(up, ()))
+        if up < self._min_passed and up not in self._powers and kept == first:
+            return [up]
+        return []
+
     def passes(self, n: int) -> bool:
         """Does n clear the validated threshold? Scout first, full depth if close."""
         if self._clears(n):
+            self._min_passed = min(self._min_passed, n)
             return True
         self._max_failed = max(self._max_failed, n)
         return False

@@ -10,11 +10,12 @@ observation and one column per trial, a bounded number of rows at a time;
 that number depends only on the trial count. So results are bit-identical
 for a given plan regardless of the order in which runs are evaluated, the
 thread that draws them, or the sample size a run is cut to. The package's one
-helper thread (_helper) draws the replicate kernel's noise blocks and the odd
-outer replicates of an exact-MC miss while the caller draws the rest; each
-generator is read by one thread, in the same order and block shapes, and each
-result is written by one thread, so no value depends on which thread draws
-it. A forked child gets its own helper (an at-fork hook binds a new executor).
+helper thread (_helper) draws and sums the replicate kernel's noise blocks and
+draws the odd outer replicates of an exact-MC miss while the caller draws the
+rest; each generator is read by one thread, in the same order and block
+shapes, and each result is written by one thread, so no value depends on
+which thread draws it. A forked child gets its own helper (an at-fork hook
+binds a new executor).
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):

@@ -152,10 +152,10 @@ def constant_column(monkeypatch):
             self._gen = gen
             self._column = column
 
-        def standard_normal(self, shape):
-            out = self._gen.standard_normal(shape)
-            out[:, self._column] = 1.0
-            return out
+        def standard_normal(self, size=None, *, out=None):
+            block = self._gen.standard_normal(size, out=out)
+            block[:, self._column] = 1.0
+            return block
 
     def patch(column, role):
         def patched(key):

@@ -25,6 +25,8 @@ def test_quick_run_writes_every_key(tmp_path):
         ["n=30", f"alpha={alpha}"] for alpha in ("0.1", "0.05", "0.01")
     ]
     assert report["stdout"]["clihit"].startswith("n=30 alpha=0.05 value=")
+    scouts = report["stdout"]["scouts"].splitlines()
+    assert len(scouts) == 3 and all(line.startswith("n=") for line in scouts)
     corrmc = report["stdout"]["corrmc"].splitlines()
     assert len(corrmc) == 72 and all(line.startswith("n=") for line in corrmc)
     assert "before" not in report and "change" not in report
@@ -32,12 +34,16 @@ def test_quick_run_writes_every_key(tmp_path):
     assert set(run["chisq_us_per_10k"]) == {"1", "29", "48", "2400"}
     for key in ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
                 "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s",
-                "corrmc_s", "corrmc_wall_s", "clihit_s", "clihit_wall_s"):
+                "corrmc_s", "corrmc_wall_s", "clihit_s", "clihit_wall_s", "scouts_s",
+                "scouts_wall_s"):
         assert run[key] >= 0.0
         assert key in report["after"]["median"]
     assert run["search_critval_calls"] >= 1
+    for key in ("search_runs", "scouts_runs", "search_peak_rss_mb"):
+        assert run[key] > 0
+        assert key in report["after"]["median"]
     assert run["search_critval_s"] <= run["search_cell_s"]
     for key in ("critval_request_wall_s", "search_wall_s", "search_critval_wall_s",
-                "levels_wall_s", "corrmc_wall_s", "clihit_wall_s"):
+                "levels_wall_s", "corrmc_wall_s", "clihit_wall_s", "scouts_wall_s"):
         assert run[key] > 0.0
     assert run["search_critval_wall_s"] <= run["search_wall_s"]

@@ -311,6 +311,21 @@ class TestSlopeTBatch:
         # the noise blocks come from the helper thread; not a bit may move
         assert hashlib.sha256(batch().tobytes()).hexdigest() == KERNEL_PINS[name]
 
+    def test_values_hold_with_fast_thread_switches(self):
+        # the helper thread writes its noise sums into the caller's arrays;
+        # switching threads every microsecond must not move a bit
+        tasks = np.arange(2_000)
+        lengths = (300, 299, 262, 131, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cut = powersim._slope_t_prefixes(lengths, 0.4, SEED, tasks, powersim._SLOPE_ROLES)
+        finally:
+            sys.setswitchinterval(interval)
+        assert hashlib.sha256(cut[0].tobytes()).hexdigest() == KERNEL_PINS["slope"]
+        for m, t_vals in zip(lengths, cut):
+            assert t_vals.tobytes() == slope_t_batch(m, 0.4, SEED, tasks).tobytes()
+
     def test_forked_child_gets_its_own_helper(self):
         # the kernel and the critical value use the helper thread, which a
         # forked child lacks; a child that kept the parent's executor would
@@ -420,27 +435,80 @@ GOLDEN_SEARCHES = [
 ]
 
 
+# validation runs each GOLDEN_SEARCHES search draws (kernel calls)
+GOLDEN_RUNS_DRAWN = {cell: runs for (cell, _), runs in zip(GOLDEN_SEARCHES, [60, 60])}
+
+
+def record_validation_runs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """Wrap the kernel; the list returned gets (lengths, first task id) per validation run drawn."""
+    calls = []
+    kernel = powersim._slope_t_prefixes
+
+    def recording_kernel(lengths, lam, master_seed, tasks, roles):
+        if tasks[0] >= VALIDATION_TASK_BASE:
+            calls.append((tuple(lengths), int(tasks[0])))
+        return kernel(lengths, lam, master_seed, tasks, roles)
+
+    monkeypatch.setattr(powersim, "_slope_t_prefixes", recording_kernel)
+    return calls
+
+
 class TestFindSampleSize:
     @pytest.mark.parametrize("cell, golden", GOLDEN_SEARCHES)
     def test_golden_search_draws_each_run_once(self, monkeypatch, cell, golden):
         lam, alpha, target, plan, cv_plan = cell
-        drawn = collections.Counter()
-        kernel = powersim._slope_t_prefixes
-
-        def counting_kernel(lengths, lam, master_seed, tasks, roles):
-            if tasks[0] >= VALIDATION_TASK_BASE:
-                drawn[max(lengths), int(tasks[0])] += 1
-            return kernel(lengths, lam, master_seed, tasks, roles)
-
-        monkeypatch.setattr(powersim, "_slope_t_prefixes", counting_kernel)
+        calls = record_validation_runs(monkeypatch)
         res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=cv_plan)
         assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == golden
-        # no validation run is drawn twice at the same n
-        assert drawn and max(drawn.values()) == 1
+        # no validation run is cut twice at the same n, window sizes included
+        cut = collections.Counter((m, task) for lengths, task in calls for m in lengths)
+        assert cut and max(cut.values()) == 1
+        assert len(calls) == GOLDEN_RUNS_DRAWN[cell]
+
+    def test_failed_start_draws_nothing_one_size_up(self, monkeypatch):
+        # at the benchmark's plans this search starts at 29, fails there and
+        # passes at 30: the validation at 29 also cut its runs at 30, so the
+        # search draws nothing at 30 and gets the result of drawing it afresh
+        calls = record_validation_runs(monkeypatch)
+        plan = SimPlan(1_000, 51, 1)
+        res = find_sample_size_slope(0.5, 0.10, 0.80, plan, critval_plan=SimPlan(10_000, 10, 1))
+        assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == (
+            30, "0x1.9cd2952480a99p-1", "0x1.b5af5d3d9669cp-7"
+        )
+        assert not any(lengths[0] == res.n for lengths, _ in calls)
+        assert all(res.n in lengths for lengths, _ in calls)
+        assert len(calls) == plan.reps_outer
+
+    def test_no_size_above_a_passing_one_is_cut(self, monkeypatch):
+        # at the benchmark's plans this search's start, 22, passes its scout;
+        # the full validation after it draws one more run, which keeps
+        # nothing at 23
+        calls = record_validation_runs(monkeypatch)
+        plan = SimPlan(1_000, 51, 1)
+        res = find_sample_size_slope(0.6, 0.10, 0.80, plan, critval_plan=SimPlan(10_000, 10, 1))
+        assert res.n == 22
+        assert [lengths for lengths, _ in calls] == [(22, 21, 20, 19, 23)] * 50 + [(22,)]
+
+    def test_size_above_is_cut_only_when_open(self, monkeypatch):
+        # runs kept at a size are runs 0, 1, ... and are never cut twice:
+        # a draw at n cuts n + 1 only when n + 1 is unscored and its kept
+        # runs end where the draw starts
+        calls = record_validation_runs(monkeypatch)
+        plan, cv_plan = SimPlan(200, 10, SEED), SimPlan(1_000, 5, SEED)
+        search = powersim._SlopeSearch(0.6, 0.10, 0.80, plan, None, cv_plan)
+        search.validate(26, 4, below=[25])  # keeps runs 0-3 at 25 and at 27
+        search.validate(24, 6)  # 25 keeps runs 0-3, this draw starts at run 0
+        search.validate(23, 3)  # 24 has been scored
+        search.validate(20, 2)  # 21 is open
+        drawn = [lengths for lengths, _ in calls]
+        assert drawn == [(26, 25, 27)] * 4 + [(24,)] * 6 + [(23,)] * 3 + [(20, 21)] * 2
+        fresh = powersim._SlopeSearch(0.6, 0.10, 0.80, plan, None, cv_plan)
+        assert search.validate(25, 6) == fresh.validate(25, 6)
+        assert search.validate(27, 4) == fresh.validate(27, 4)
 
     def test_critical_values_only_at_sizes_asked_for(self, monkeypatch):
-        # a scout's window sizes below it get a critical value only once the
-        # search asks for them
+        # a validation's window sizes, below it and one above, get a critical
+        # value only once the search asks for them
         asked, computed = set(), []
         lookup = powersim.cached_critical_value
 
@@ -456,10 +524,44 @@ class TestFindSampleSize:
 
         monkeypatch.setattr(powersim, "cached_critical_value", recording_lookup)
         monkeypatch.setattr(powersim._SlopeSearch, "passes", asking(powersim._SlopeSearch.passes))
-        # at this seed a scout draws the window sizes 27 and 26, which are never asked for
+        calls = record_validation_runs(monkeypatch)
+        # at this seed the search stops at its start, 29, whose scout draws
+        # the window sizes 27 and 26 below it and 30 above it, none of them
+        # asked for
         plan = SimPlan(500, 55, SEED)
-        find_sample_size_slope(0.6, 0.10, 0.90, plan, critval_plan=SimPlan(1_000, 10, SEED))
+        res = find_sample_size_slope(0.6, 0.10, 0.90, plan, critval_plan=SimPlan(1_000, 10, SEED))
+        cut_above = {m for lengths, _ in calls for m in lengths if m > lengths[0]}
+        assert res.n + 1 in cut_above - asked
+        assert {26, 27} <= {m for lengths, _ in calls for m in lengths} - asked
         assert computed and set(computed) <= asked
+
+    def test_kept_values_stay_bounded(self, monkeypatch):
+        # |t| kept for a window size: at most reps_outer runs for a size cut
+        # above a validation, scout_runs runs for one only ever cut below,
+        # and none once the size has been scored
+        plan = SimPlan(200, 60, SEED)
+        calls = record_validation_runs(monkeypatch)
+        peak = collections.Counter()
+        validate = powersim._SlopeSearch.validate
+
+        def checked_validate(search, n, runs, *below):
+            result = validate(search, n, runs, *below)
+            kept = search._window_abs_t
+            assert n not in kept and not kept.keys() & search._powers.keys()
+            above = {m for lengths, _ in calls for m in lengths if m > lengths[0]}
+            for m, values in kept.items():
+                floats = sum(v.size for v in values)
+                runs_bound = plan.reps_outer if m in above else search.scout_runs
+                assert floats <= runs_bound * plan.reps_inner
+                peak[m in above] = max(peak[m in above], floats)
+            return result
+
+        monkeypatch.setattr(powersim._SlopeSearch, "validate", checked_validate)
+        # at this seed the start, 22, fails its full validation, which keeps
+        # all 60 runs at 23
+        find_sample_size_slope(0.6, 0.10, 0.80, plan, critval_plan=SimPlan(1_000, 10, SEED))
+        assert peak[True] == plan.reps_outer * plan.reps_inner
+        assert peak[False] == 50 * plan.reps_inner
 
     def test_small_cell_matches_published_value(self, session_cache):
         # table anchor: lam=0.6, alpha=0.10, 80% -> n = 21
