@@ -41,8 +41,9 @@ on both:
 
 Times are time.process_time() of the measuring process, which adds up the
 CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
-The replicate kernel and the exact-MC replicate loop draw on two threads, so
-their gains show in wall time.
+The search's validation runs, a lone kernel run's two streams and the
+exact-MC replicate loop are drawn on two threads, so their gains show in wall
+time.
 Each side's stdout of the commands (for corrmc, the hex powers) is recorded,
 and the script fails if the sides print different bytes: the change must
 leave seeded output as it was.
@@ -150,21 +151,26 @@ def cli_hits(cli, calls: int) -> tuple[float, float, str]:
 
 @contextlib.contextmanager
 def counting_validation_runs():
-    """Count the validation runs the slope search draws: kernel calls at validation task ids."""
+    """Record the validation runs the slope search draws: the first task id
+    of each kernel call at validation task ids.
+
+    Runs are drawn on two threads, so each is appended to a list, which
+    takes no read-modify-write that a thread switch could split.
+    """
     from slopesize import powersim
     from slopesize.stochastics import VALIDATION_TASK_BASE
 
     kernel = powersim._slope_t_prefixes
-    count = {"runs": 0}
+    runs: list[int] = []
 
     def counting(lengths, lam, master_seed, tasks, roles):
         if tasks[0] >= VALIDATION_TASK_BASE:
-            count["runs"] += 1
+            runs.append(int(tasks[0]))
         return kernel(lengths, lam, master_seed, tasks, roles)
 
     powersim._slope_t_prefixes = counting
     try:
-        yield count
+        yield runs
     finally:
         powersim._slope_t_prefixes = kernel
 
@@ -187,7 +193,7 @@ def scout_searches(sizes: dict) -> tuple[int, float, float, str]:
         cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     out = "".join(f"n={r.n} mean={r.validated_mean.hex()} sd={r.validated_sd.hex()}\n"
                   for r in results)
-    return drawn["runs"], cpu, wall, out
+    return len(drawn), cpu, wall, out
 
 
 def measure(sizes: dict) -> dict:
@@ -244,7 +250,7 @@ def measure(sizes: dict) -> dict:
         "search_critval_s": round(spent["s"], 3),
         "search_critval_wall_s": round(spent["wall_s"], 3),
         "search_critval_calls": spent["calls"],
-        "search_runs": search_drawn["runs"],
+        "search_runs": len(search_drawn),
         "search_peak_rss_mb": round(search_rss_mb, 1),
         "levels_s": round(sum(cpu for cpu, _, _ in levels), 3),
         "levels_wall_s": round(sum(wall for _, wall, _ in levels), 3),

@@ -19,11 +19,12 @@ optional text-file cache (keyed on n, alpha, reps_inner, reps_outer,
 master_seed), which is parsed afresh on every lookup, then the process's one
 in-process store (_MC_MEMO, keyed by (n, alpha, plan)), and only then draws.
 A draw also estimates the paper's three levels (TABLE1_LEVELS), so one set
-of draws at (n, plan) serves every level. The caller draws the even outer
-replicates and the package's helper thread the odd ones; each replicate
-reads only its own keyed streams, so the split moves no bit. The memo lives
-only as long as the process, so it can never be stale; the file carries
-values across processes.
+of draws at (n, plan) serves every level. The outer replicates are split
+between the caller, which draws the even ones, and the package's helper
+thread, which draws the odd ones (stochastics._split_items, as the search's
+validation runs are); each replicate reads only its own keyed streams, so
+the split moves no bit. The memo lives only as long as the process, so it
+can never be stale; the file carries values across processes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .distmath import normal_quantile
-from .stochastics import SimPlan, StreamKey, _helper, _quantile_sorted
+from .stochastics import SimPlan, StreamKey, _quantile_sorted, _split_items
 from .exactnull import t2_null_draws
 
 __all__ = [
@@ -110,7 +111,7 @@ def critical_values_mc_multi(
     The helper thread draws the odd replicates, so never call this on it
     (its one worker would wait on itself). If either half raises, the other
     stops at its next replicate and the first error is raised; nothing is
-    kept or appended.
+    kept or appended (see stochastics._split_items).
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")
@@ -120,25 +121,14 @@ def critical_values_mc_multi(
     if missing:
         levels = list(dict.fromkeys([*missing, *TABLE1_LEVELS]))
         roots = np.empty((len(levels), plan.reps_outer))
-        errors: list[BaseException] = []  # re-raised below, the first one
 
-        def replicates(first: int) -> None:
-            # every other replicate from first, until either half fails
-            try:
-                for j in range(first, plan.reps_outer, 2):
-                    if errors:
-                        return
-                    draws = t2_null_draws(StreamKey(plan.master_seed, j), n, plan.reps_inner)
-                    draws.sort()
-                    for i, alpha in enumerate(levels):
-                        roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
-            except BaseException as exc:
-                errors.append(exc)
-        odd = _helper().submit(replicates, 1)
-        replicates(0)
-        odd.result()
-        if errors:
-            raise errors[0]
+        def replicate(j: int) -> None:
+            draws = t2_null_draws(StreamKey(plan.master_seed, j), n, plan.reps_inner)
+            draws.sort()
+            for i, alpha in enumerate(levels):
+                roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
+
+        _split_items(plan.reps_outer, replicate)
         for i, alpha in enumerate(levels):
             sd = float(np.std(roots[i], ddof=1)) if plan.reps_outer > 1 else 0.0
             _MC_MEMO[(n, alpha, plan)] = CriticalValueEstimate(

@@ -16,10 +16,14 @@ final slope estimate. A degenerate trial (S_XX = 0 or RSS <= 0, a
 probability-zero event) fails the run with SearchFailureError, which names
 the trial's task id and n.
 
-Each noise block is drawn on the package's helper thread (stochastics._helper)
-while the calling thread draws the predictor block. Every stream is still
-read by a single thread, in the same order and block shapes, so no value
-depends on the helper.
+A validation splits the runs it draws between two threads: the caller
+draws the even runs and the package's helper thread (stochastics._helper)
+the odd ones, each run both of its streams, and each thread scores the runs
+it draws. A lone run, as in simulate_power_slope, slope_t_batch or the
+correlation route, draws its noise blocks on the helper while the calling
+thread draws its predictor blocks. Every stream is still read by a single
+thread, in the same order and block shapes, so no value depends on the
+helper.
 
 The sample-size search starts at the correlation route's deterministic
 Fisher-z sample size, which needs no simulation, and returns a crossing
@@ -52,7 +56,15 @@ from .critvals import (
     CriticalValueEstimate,
     cached_critical_value,
 )
-from .stochastics import VALIDATION_TASK_BASE, SimPlan, StreamKey, _helper, generator
+from .stochastics import (
+    VALIDATION_TASK_BASE,
+    SimPlan,
+    StreamKey,
+    _helper,
+    _split_flag,
+    _split_items,
+    generator,
+)
 from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
 
 __all__ = [
@@ -146,7 +158,7 @@ def _cut_sums(a: np.ndarray, b: np.ndarray | None, cuts: list[int], out: np.ndar
 
 def _noise_block(e_gen, e: np.ndarray, cuts: list[int], out: np.ndarray) -> None:
     """Fill the block e from e_gen and write its sums of e and e^2 at each
-    cut to out[0] and out[1]; runs on the helper thread."""
+    cut to out[0] and out[1]."""
     e_gen.standard_normal(out=e)
     _cut_sums(e, None, cuts, out[0])
     _cut_sums(e, e, cuts, out[1])
@@ -179,13 +191,17 @@ def _slope_t_prefixes(
     S_XX or zero RSS, a probability-zero event) raises SearchFailureError
     naming its task id.
 
-    Each block of e is drawn, and its sums of e and e^2 taken, on the
-    helper thread while this thread draws and sums the block of x; numpy
-    releases the GIL while it fills normals, so the two draws run on two
-    cores. Each stream is still read by one thread, in the same order and
-    in the same block shapes, so the values do not depend on the helper:
-    they are bit-identical to drawing both blocks here. An error raised
-    while drawing e reaches the caller unchanged.
+    Called on its own, the run draws each block of e, and takes its sums
+    of e and e^2, on the helper thread while this thread draws and sums the
+    block of x; numpy releases the GIL while it fills normals, so the two
+    draws run on two cores. Called inside a stochastics._split_items half,
+    where the other thread is busy with runs of its own, it draws both
+    blocks on this thread, so the helper never submits to itself and the
+    caller's blocks never queue behind the helper's half. Each stream is
+    still read by one thread, in the same order and in the same block
+    shapes, so the values do not depend on the thread: they are
+    bit-identical either way. An error raised while drawing e reaches the
+    caller unchanged.
     """
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
@@ -198,7 +214,7 @@ def _slope_t_prefixes(
     n = max(lengths)
     x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
     e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
-    helper = _helper()
+    helper = None if _split_flag.active else _helper()
     sizes = sorted(set(lengths))
     # sums of x, e, x^2, x*e and e^2 at each size and over the full blocks
     # read so far
@@ -217,11 +233,15 @@ def _slope_t_prefixes(
             cuts.append(size)  # the whole block carries into the next one
         block = np.empty((5, len(cuts), trials)) if carry else sums[:, first:last]
         x, e = x_rows[:size], e_rows[:size]
-        e_block = helper.submit(_noise_block, e_gen, e, cuts, block[1::3])
+        if helper is None:
+            _noise_block(e_gen, e, cuts, block[1::3])
+        else:
+            e_block = helper.submit(_noise_block, e_gen, e, cuts, block[1::3])
         x_gen.standard_normal(out=x)
         _cut_sums(x, None, cuts, block[0])
         _cut_sums(x, x, cuts, block[2])
-        e_block.result()
+        if helper is not None:
+            e_block.result()
         _cut_sums(x, e, cuts, block[3])
         block += total[:, None]
         if carry:
@@ -343,23 +363,42 @@ class _SlopeSearch:
         Window values are kept unscored and scored against their critical
         value only once the search asks for that size, so a window size it
         never asks for costs no critical value.
+
+        The runs to draw are split between two threads (see
+        stochastics._split_items): the caller draws and scores the even
+        ones and the helper thread the odd ones, each writing a run's power
+        and window |t| into that run's slot, so no run's t at n is held
+        past its scoring. The slots join the kept values in run order once
+        both halves are done. A degenerate trial raises SearchFailureError
+        and leaves the kept powers and |t| as they were before the call.
         """
         trials = self.plan.reps_inner
         c = cached_critical_value(n, self.alpha, self.critval_plan, self.cache).value
-        powers = self._powers.setdefault(n, [])
-        pending = self._window_abs_t.pop(n, [])
-        powers.extend(np.count_nonzero(abs_t > c) / trials for abs_t in pending)
-        window = (*below, *self._above(n, len(powers)))
+        pending = self._window_abs_t.get(n, [])
+        first = len(self._powers.get(n, ())) + len(pending)
+        window = (*below, *self._above(n, first))
         lengths = (n, *window)
-        for v in range(len(powers), runs):
-            base = VALIDATION_TASK_BASE + v * trials
+        drawn = max(0, runs - first)
+        new_powers = [0.0] * drawn
+        new_abs_t = [[None] * drawn for _ in window]
+
+        def draw(i: int) -> None:
+            base = VALIDATION_TASK_BASE + (first + i) * trials
             tasks = np.arange(base, base + trials, dtype=np.int64)
             t_n, *t_window = _slope_t_prefixes(
                 lengths, self.lam, self.plan.master_seed, tasks, _SLOPE_ROLES
             )
-            powers.append(np.count_nonzero(np.abs(t_n) > c) / trials)
-            for m, t_vals in zip(window, t_window):
-                self._window_abs_t.setdefault(m, []).append(np.abs(t_vals))
+            new_powers[i] = np.count_nonzero(np.abs(t_n) > c) / trials
+            for slots, t_vals in zip(new_abs_t, t_window):
+                slots[i] = np.abs(t_vals)
+
+        _split_items(drawn, draw)
+        powers = self._powers.setdefault(n, [])
+        powers.extend(np.count_nonzero(abs_t > c) / trials for abs_t in pending)
+        self._window_abs_t.pop(n, None)
+        powers.extend(new_powers)
+        for m, slots in zip(window, new_abs_t):
+            self._window_abs_t.setdefault(m, []).extend(slots)
         head = np.array(powers[:runs])
         sd = float(np.std(head, ddof=1)) if runs > 1 else 0.0
         return _Validation(mean=float(np.mean(head)), sd=sd, runs=runs)
@@ -389,12 +428,24 @@ class _SlopeSearch:
         return []
 
     def passes(self, n: int) -> bool:
-        """Does n clear the validated threshold? Scout first, full depth if close."""
-        if self._clears(n):
+        """Does n clear the validated threshold? Scout first, full depth if close.
+
+        Kept |t| at sizes the refinement can no longer ask for, at or below
+        a size that failed or above one that passed, are dropped. A run's
+        values are fixed, so should a full validation past the answer need
+        one of them again, drawing it afresh gives the same bits.
+        """
+        passed = self._clears(n)
+        if passed:
             self._min_passed = min(self._min_passed, n)
-            return True
-        self._max_failed = max(self._max_failed, n)
-        return False
+        else:
+            self._max_failed = max(self._max_failed, n)
+        self._window_abs_t = {
+            m: kept
+            for m, kept in self._window_abs_t.items()
+            if self._max_failed < m <= self._min_passed
+        }
+        return passed
 
     def _clears(self, n: int) -> bool:
         scout = self.validate(n, self.scout_runs, self._window(n))

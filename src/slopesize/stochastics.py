@@ -10,12 +10,16 @@ observation and one column per trial, a bounded number of rows at a time;
 that number depends only on the trial count. So results are bit-identical
 for a given plan regardless of the order in which runs are evaluated, the
 thread that draws them, or the sample size a run is cut to. The package's one
-helper thread (_helper) draws and sums the replicate kernel's noise blocks and
-draws the odd outer replicates of an exact-MC miss while the caller draws the
-rest; each generator is read by one thread, in the same order and block
-shapes, and each result is written by one thread, so no value depends on
-which thread draws it. A forked child gets its own helper (an at-fork hook
-binds a new executor).
+helper thread (_helper) shares work with the caller in two ways. A loop over
+independent items, the validation runs of a search or the outer replicates
+of an exact-MC miss, is split by _split_items: the caller takes the even
+items and the helper the odd ones, and each item is drawn whole on its
+thread, both streams of a run included. A lone kernel run, outside such a
+split, draws its noise blocks on the helper while the caller draws its
+predictor blocks. Either way each generator is read by one thread, in the
+same order and block shapes, and each result is written by one thread, so no
+value depends on which thread draws it. A forked child gets its own helper
+(an at-fork hook binds a new executor).
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -203,9 +208,9 @@ def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[i] + frac * (sorted_values[i + 1] - sorted_values[i]))
 
 
-# the package's one helper thread (powersim._slope_t_prefixes and
-# critvals.critical_values_mc_multi); an executor starts its thread at its
-# first submit, so importing the package starts no thread
+# the package's one helper thread (_split_items and powersim._slope_t_prefixes);
+# an executor starts its thread at its first submit, so importing the package
+# starts no thread
 def _start_helper() -> None:
     global _helper_pool
     _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slopesize-helper")
@@ -215,6 +220,51 @@ def _helper() -> ThreadPoolExecutor:
     """The helper thread's executor; never submit to it from the helper
     thread itself, whose one worker would then wait on itself."""
     return _helper_pool
+
+
+class _SplitFlag(threading.local):
+    # true on a thread while it draws its half of a _split_items call
+    active = False
+
+
+_split_flag = _SplitFlag()
+
+
+def _split_items(count: int, work) -> None:
+    """Call work(i) for each i in range(count) on two threads.
+
+    The caller takes the even i and the helper thread the odd ones, each in
+    ascending order; while its half runs, a thread's _split_flag is set, so
+    work can tell that it must not submit to the helper itself. If either
+    half raises, the other stops at its next item and the first error is
+    raised once both have stopped; work must then have kept nothing that
+    outlives the call. A lone item runs on the caller alone, flag unset.
+    Never call this on the helper thread, whose one worker would wait on
+    itself.
+    """
+    if count < 2:
+        for i in range(count):
+            work(i)
+        return
+    errors: list[BaseException] = []  # re-raised below, the first one
+
+    def half(first: int) -> None:
+        _split_flag.active = True
+        try:
+            for i in range(first, count, 2):
+                if errors:
+                    return
+                work(i)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            _split_flag.active = False
+
+    odd = _helper().submit(half, 1)
+    half(0)
+    odd.result()
+    if errors:
+        raise errors[0]
 
 
 _start_helper()

@@ -139,11 +139,12 @@ def session_cache(tmp_path_factory) -> CriticalValueCache:
 
 @pytest.fixture
 def constant_column(monkeypatch):
-    """constant_column(column, role) makes one trial's stream constant.
+    """constant_column(column, role, first_task=None) makes one trial's stream constant.
 
     It patches powersim.generator so that the blocks read from stream id
     role hold 1.0 in one column, which makes that trial of every run on
-    the role degenerate (S_XX = 0) at every sample size.
+    the role degenerate (S_XX = 0) at every sample size. Given first_task,
+    only the run keyed by that first task id is patched.
     """
     real = powersim.generator
 
@@ -157,10 +158,11 @@ def constant_column(monkeypatch):
             block[:, self._column] = 1.0
             return block
 
-    def patch(column, role):
+    def patch(column, role, first_task=None):
         def patched(key):
             gen = real(key)
-            return ConstantColumn(gen, column) if key.stream_id == role else gen
+            run = first_task is None or key.task_id == first_task
+            return ConstantColumn(gen, column) if key.stream_id == role and run else gen
 
         monkeypatch.setattr(powersim, "generator", patched)
 

@@ -24,7 +24,7 @@ from conftest import (
     fit_slope_stats,
     row_moments,
 )
-from slopesize import critvals, powersim
+from slopesize import critvals, powersim, stochastics
 from slopesize.corroute import corr_t1_batch
 from slopesize.critvals import (
     EXACT_MC,
@@ -563,6 +563,41 @@ class TestFindSampleSize:
         assert peak[True] == plan.reps_outer * plan.reps_inner
         assert peak[False] == 50 * plan.reps_inner
 
+    @pytest.mark.parametrize(
+        "cell, golden",
+        [
+            *GOLDEN_SEARCHES,
+            (
+                (0.5, 0.10, 0.80, SimPlan(1_000, 51, 1), SimPlan(10_000, 10, 1)),
+                (30, "0x1.9cd2952480a99p-1", "0x1.b5af5d3d9669cp-7"),
+            ),
+        ],
+    )
+    def test_kept_values_past_a_decided_size_are_dropped(self, monkeypatch, cell, golden):
+        # once a size fails, nothing at or below it is kept; once one passes,
+        # nothing above it; and the answer is the one recorded before
+        lam, alpha, target, plan, cv_plan = cell
+        cut, dropped = set(), set()  # sizes ever kept; those dropped unscored
+        passes, validate = powersim._SlopeSearch.passes, powersim._SlopeSearch.validate
+
+        def recording_validate(search, *args):
+            result = validate(search, *args)
+            cut.update(search._window_abs_t)
+            return result
+
+        def checked_passes(search, n):
+            passed = passes(search, n)
+            kept = set(search._window_abs_t)
+            assert all(m <= n for m in kept) if passed else all(m > n for m in kept)
+            dropped.update(cut - kept - search._powers.keys())
+            return passed
+
+        monkeypatch.setattr(powersim._SlopeSearch, "validate", recording_validate)
+        monkeypatch.setattr(powersim._SlopeSearch, "passes", checked_passes)
+        res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=cv_plan)
+        assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == golden
+        assert dropped
+
     def test_small_cell_matches_published_value(self, session_cache):
         # table anchor: lam=0.6, alpha=0.10, 80% -> n = 21
         plan = SimPlan(reps_inner=1_000, reps_outer=100, master_seed=SEED)
@@ -587,13 +622,13 @@ class TestFindSampleSize:
     def test_ceiling_failure(self, session_cache, monkeypatch):
         # the Fisher-z start (n = 7,358 here) already exceeds the ceiling, so
         # the search fails before any critical value or simulated run
-        calls = collections.Counter()
+        calls = []  # list.append is safe on the helper thread, a Counter's += is not
 
         def counting(name):
             inner = getattr(powersim, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.append(name)
                 return inner(*args, **kwargs)
 
             monkeypatch.setattr(powersim, name, wrapper)
@@ -608,8 +643,78 @@ class TestFindSampleSize:
                 critval_plan=SimPlan(reps_inner=1_000, reps_outer=10, master_seed=SEED),
                 n_ceiling=50,
             )
-        assert calls["cached_critical_value"] == 0
-        assert calls["_slope_t_prefixes"] == 0
+        assert calls.count("cached_critical_value") == 0
+        assert calls.count("_slope_t_prefixes") == 0
+
+
+def kept_state(search) -> tuple[dict, dict]:
+    """Copies of a search's kept powers and window |t| (as bytes)."""
+    powers = {n: list(values) for n, values in search._powers.items()}
+    abs_t = {m: [a.tobytes() for a in values] for m, values in search._window_abs_t.items()}
+    return powers, abs_t
+
+
+class TestSplitValidation:
+    """A validation's runs drawn on two threads, the even ones on the caller."""
+
+    def test_matches_a_serial_loop_with_fast_thread_switches(self):
+        (lam, alpha, target, plan, cv_plan), _ = GOLDEN_SEARCHES[0]
+        search = powersim._SlopeSearch(lam, alpha, target, plan, None, cv_plan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            search.validate(22, plan.reps_outer, below=[21, 20, 19])
+        finally:
+            sys.setswitchinterval(interval)
+        c = cached_critical_value(22, alpha, cv_plan).value
+        lengths = (22, 21, 20, 19, 23)
+        powers, abs_t = [], {m: [] for m in lengths[1:]}
+        for v in range(plan.reps_outer):
+            base = VALIDATION_TASK_BASE + v * plan.reps_inner
+            tasks = np.arange(base, base + plan.reps_inner)
+            t_n, *t_window = powersim._slope_t_prefixes(
+                lengths, lam, plan.master_seed, tasks, powersim._SLOPE_ROLES
+            )
+            powers.append(np.count_nonzero(np.abs(t_n) > c) / plan.reps_inner)
+            for m, t_vals in zip(lengths[1:], t_window):
+                abs_t[m].append(np.abs(t_vals).tobytes())
+        assert kept_state(search) == ({22: powers}, abs_t)
+
+    @pytest.mark.parametrize("run", [3, 2], ids=["helper_half", "caller_half"])
+    def test_degenerate_run_raises_and_keeps_nothing(self, constant_column, run):
+        plan, cv_plan = SimPlan(200, 10, SEED), SimPlan(1_000, 5, SEED)
+        search = powersim._SlopeSearch(0.6, 0.10, 0.80, plan, None, cv_plan)
+        search.validate(26, 2, below=[25])  # keeps runs 0-1 at 25 and at 27
+        before = kept_state(search)
+        # the next validation at 25 draws runs 2-5: 2 and 4 on this thread,
+        # 3 and 5 on the helper
+        first_task = VALIDATION_TASK_BASE + run * plan.reps_inner
+        constant_column(3, powersim._X_STREAM, first_task)
+        with pytest.raises(SearchFailureError, match=rf"task id {first_task + 3} is degenerate at n=25 "):
+            search.validate(25, 6)
+        assert kept_state(search) == before
+        stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
+
+    def test_helper_never_submits_to_itself(self, monkeypatch):
+        (lam, alpha, target, plan, cv_plan), _ = GOLDEN_SEARCHES[0]
+        search = powersim._SlopeSearch(lam, alpha, target, plan, None, cv_plan)
+        cached_critical_value(22, alpha, cv_plan)  # its draws are split too
+        helper = stochastics._helper()
+        submit = helper.submit
+        submitted = []
+
+        def recording_submit(fn, *args, **kwargs):
+            submitted.append((fn.__name__, threading.get_ident()))
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(helper, "submit", recording_submit)
+        search.validate(22, 10, below=[21])
+        # one submit, from this thread: the helper's half of the runs
+        assert submitted == [("half", threading.get_ident())]
+        # a validation that draws one run draws its noise block on the helper
+        submitted.clear()
+        search.validate(22, 11)
+        assert submitted == [("_noise_block", threading.get_ident())]
 
 
 class TestRefineValidated:
