@@ -19,11 +19,12 @@ optional text-file cache (keyed on n, alpha, reps_inner, reps_outer,
 master_seed), which is parsed afresh on every lookup, then the process's one
 in-process store (_MC_MEMO, keyed by (n, alpha, plan)), and only then draws.
 A draw also estimates the paper's three levels (TABLE1_LEVELS), so one set
-of draws at (n, plan) serves every level. The outer replicates are split
-between the caller, which draws the even ones, and the package's helper
-thread, which draws the odd ones (stochastics._split_items, as the search's
-validation runs are); each replicate reads only its own keyed streams, so
-the split moves no bit. The memo lives only as long as the process, so it
+of draws at (n, plan) serves every level. The outer replicates are the items
+of a stochastics._split_items call, as the search's validation runs are: the
+caller draws the even ones and the package's helper thread the odd ones,
+unless the call is made inside another split's half, where it draws them all
+inline. Each replicate reads only its own keyed streams, so the split moves
+no bit. The memo lives only as long as the process, so it
 can never be stale; the file carries values across processes.
 """
 
@@ -108,10 +109,9 @@ def critical_values_mc_multi(
     (n, alpha, plan). If any level is in neither, the replicate loop runs
     once for those levels together with TABLE1_LEVELS and every estimate it
     makes is kept. Each asked level the file lacked is then appended to it.
-    The helper thread draws the odd replicates, so never call this on it
-    (its one worker would wait on itself). If either half raises, the other
-    stops at its next replicate and the first error is raised; nothing is
-    kept or appended (see stochastics._split_items).
+    The helper thread draws the odd replicates. If either half raises, the
+    other stops at its next replicate and the first error is raised; nothing
+    is kept or appended (see stochastics._split_items).
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")

@@ -16,14 +16,15 @@ final slope estimate. A degenerate trial (S_XX = 0 or RSS <= 0, a
 probability-zero event) fails the run with SearchFailureError, which names
 the trial's task id and n.
 
-A validation splits the runs it draws between two threads: the caller
-draws the even runs and the package's helper thread (stochastics._helper)
-the odd ones, each run both of its streams, and each thread scores the runs
-it draws. A lone run, as in simulate_power_slope, slope_t_batch or the
-correlation route, draws its noise blocks on the helper while the calling
-thread draws its predictor blocks. Every stream is still read by a single
-thread, in the same order and block shapes, so no value depends on the
-helper.
+Work reaches the package's helper thread only through
+stochastics._split_items, which runs even items on the caller and odd ones
+on the helper. A validation's runs are its items, each run drawn and scored
+whole on one thread. A lone run, as in simulate_power_slope, slope_t_batch
+or the correlation route, splits each block into two items, its predictor
+block on the caller and its noise block on the helper; inside a
+validation's split that nested split runs inline. Every stream is still
+read by a single thread, in the same order and block shapes, so no value
+depends on the helper.
 
 The sample-size search starts at the correlation route's deterministic
 Fisher-z sample size, which needs no simulation, and returns a crossing
@@ -60,8 +61,6 @@ from .stochastics import (
     VALIDATION_TASK_BASE,
     SimPlan,
     StreamKey,
-    _helper,
-    _split_flag,
     _split_items,
     generator,
 )
@@ -156,12 +155,12 @@ def _cut_sums(a: np.ndarray, b: np.ndarray | None, cuts: list[int], out: np.ndar
             acc = acc + term
 
 
-def _noise_block(e_gen, e: np.ndarray, cuts: list[int], out: np.ndarray) -> None:
-    """Fill the block e from e_gen and write its sums of e and e^2 at each
+def _stream_block(gen, a: np.ndarray, cuts: list[int], out: np.ndarray) -> None:
+    """Fill the block a from gen and write its sums of a and a^2 at each
     cut to out[0] and out[1]."""
-    e_gen.standard_normal(out=e)
-    _cut_sums(e, None, cuts, out[0])
-    _cut_sums(e, e, cuts, out[1])
+    gen.standard_normal(out=a)
+    _cut_sums(a, None, cuts, out[0])
+    _cut_sums(a, a, cuts, out[1])
 
 
 def _check_lam(lam: float) -> None:
@@ -191,17 +190,15 @@ def _slope_t_prefixes(
     S_XX or zero RSS, a probability-zero event) raises SearchFailureError
     naming its task id.
 
-    Called on its own, the run draws each block of e, and takes its sums
-    of e and e^2, on the helper thread while this thread draws and sums the
-    block of x; numpy releases the GIL while it fills normals, so the two
-    draws run on two cores. Called inside a stochastics._split_items half,
-    where the other thread is busy with runs of its own, it draws both
-    blocks on this thread, so the helper never submits to itself and the
-    caller's blocks never queue behind the helper's half. Each stream is
-    still read by one thread, in the same order and in the same block
-    shapes, so the values do not depend on the thread: they are
-    bit-identical either way. An error raised while drawing e reaches the
-    caller unchanged.
+    Each block is two items of stochastics._split_items: item 0 fills the
+    block of x and takes its sums of x and x^2, item 1 does the same for e
+    (_stream_block). Called on its own, the run draws x on this thread and
+    e on the helper, and numpy releases the GIL while it fills normals, so
+    the two draws run on two cores; called inside a split's half, as a
+    validation run is, it draws both on this thread. Each stream is still
+    read by one thread, in the same order and in the same block shapes, so
+    the values are bit-identical either way. An error raised while drawing
+    either block reaches the caller unchanged.
     """
     tasks = np.asarray(tasks, dtype=np.int64)
     if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
@@ -214,7 +211,6 @@ def _slope_t_prefixes(
     n = max(lengths)
     x_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[0]))
     e_gen = generator(StreamKey(master_seed, int(tasks[0]), roles[1]))
-    helper = None if _split_flag.active else _helper()
     sizes = sorted(set(lengths))
     # sums of x, e, x^2, x*e and e^2 at each size and over the full blocks
     # read so far
@@ -233,15 +229,10 @@ def _slope_t_prefixes(
             cuts.append(size)  # the whole block carries into the next one
         block = np.empty((5, len(cuts), trials)) if carry else sums[:, first:last]
         x, e = x_rows[:size], e_rows[:size]
-        if helper is None:
-            _noise_block(e_gen, e, cuts, block[1::3])
-        else:
-            e_block = helper.submit(_noise_block, e_gen, e, cuts, block[1::3])
-        x_gen.standard_normal(out=x)
-        _cut_sums(x, None, cuts, block[0])
-        _cut_sums(x, x, cuts, block[2])
-        if helper is not None:
-            e_block.result()
+        # rows 0 and 2 of block hold the sums of x and x^2, rows 1 and 4
+        # those of e and e^2
+        items = ((x_gen, x, cuts, block[0:3:2]), (e_gen, e, cuts, block[1::3]))
+        _split_items(2, lambda i: _stream_block(*items[i]))
         _cut_sums(x, e, cuts, block[3])
         block += total[:, None]
         if carry:

@@ -10,15 +10,14 @@ observation and one column per trial, a bounded number of rows at a time;
 that number depends only on the trial count. So results are bit-identical
 for a given plan regardless of the order in which runs are evaluated, the
 thread that draws them, or the sample size a run is cut to. The package's one
-helper thread (_helper) shares work with the caller in two ways. A loop over
-independent items, the validation runs of a search or the outer replicates
-of an exact-MC miss, is split by _split_items: the caller takes the even
-items and the helper the odd ones, and each item is drawn whole on its
-thread, both streams of a run included. A lone kernel run, outside such a
-split, draws its noise blocks on the helper while the caller draws its
-predictor blocks. Either way each generator is read by one thread, in the
-same order and block shapes, and each result is written by one thread, so no
-value depends on which thread draws it. A forked child gets its own helper
+helper thread (_helper) is reached only through _split_items, which gives the
+caller the even items of a loop and the helper the odd ones, each item drawn
+whole on its thread. The validation runs of a search and the outer replicates
+of an exact-MC miss are such items; a lone kernel run's two streams are two
+items, block by block; and a split called inside a split's half runs all its
+items inline. So each generator is read by one thread, in the same order and
+block shapes, and each result is written by one thread, so no value depends
+on which thread draws it. A forked child gets its own helper
 (an at-fork hook binds a new executor).
 
 Stream-id allocation (kept globally unique so a single master seed can drive
@@ -208,8 +207,8 @@ def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[i] + frac * (sorted_values[i + 1] - sorted_values[i]))
 
 
-# the package's one helper thread (_split_items and powersim._slope_t_prefixes);
-# an executor starts its thread at its first submit, so importing the package
+# the package's one helper thread, reached only through _split_items; an
+# executor starts its thread at its first submit, so importing the package
 # starts no thread
 def _start_helper() -> None:
     global _helper_pool
@@ -217,8 +216,7 @@ def _start_helper() -> None:
 
 
 def _helper() -> ThreadPoolExecutor:
-    """The helper thread's executor; never submit to it from the helper
-    thread itself, whose one worker would then wait on itself."""
+    """The helper thread's executor."""
     return _helper_pool
 
 
@@ -234,15 +232,13 @@ def _split_items(count: int, work) -> None:
     """Call work(i) for each i in range(count) on two threads.
 
     The caller takes the even i and the helper thread the odd ones, each in
-    ascending order; while its half runs, a thread's _split_flag is set, so
-    work can tell that it must not submit to the helper itself. If either
-    half raises, the other stops at its next item and the first error is
-    raised once both have stopped; work must then have kept nothing that
-    outlives the call. A lone item runs on the caller alone, flag unset.
-    Never call this on the helper thread, whose one worker would wait on
-    itself.
+    ascending order. If either half raises, the other stops at its next item
+    and the first error is raised once both have stopped; work must then
+    have kept nothing that outlives the call. A lone item, or a call made
+    inside either half of another split, runs every item on the calling
+    thread, so the helper never waits on itself.
     """
-    if count < 2:
+    if count < 2 or _split_flag.active:
         for i in range(count):
             work(i)
         return

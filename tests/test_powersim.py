@@ -654,6 +654,28 @@ def kept_state(search) -> tuple[dict, dict]:
     return powers, abs_t
 
 
+@pytest.fixture
+def submits(monkeypatch) -> list[tuple[str, int]]:
+    """(function name, submitting thread) of each submit to the helper from now on.
+
+    A submit from the helper thread itself, whose one worker would wait on
+    itself, raises AssertionError instead of hanging.
+    """
+    caller = threading.get_ident()
+    helper = stochastics._helper()
+    submit = helper.submit
+    submitted = []
+
+    def recording_submit(fn, *args, **kwargs):
+        submitted.append((fn.__name__, threading.get_ident()))
+        if threading.get_ident() != caller:
+            raise AssertionError("the helper submitted to itself")
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(helper, "submit", recording_submit)
+    return submitted
+
+
 class TestSplitValidation:
     """A validation's runs drawn on two threads, the even ones on the caller."""
 
@@ -695,30 +717,62 @@ class TestSplitValidation:
         assert kept_state(search) == before
         stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
 
-    def test_helper_never_submits_to_itself(self, monkeypatch):
+    def test_helper_never_submits_to_itself(self, submits):
         (lam, alpha, target, plan, cv_plan), _ = GOLDEN_SEARCHES[0]
         search = powersim._SlopeSearch(lam, alpha, target, plan, None, cv_plan)
         cached_critical_value(22, alpha, cv_plan)  # its draws are split too
-        helper = stochastics._helper()
-        submit = helper.submit
-        submitted = []
-
-        def recording_submit(fn, *args, **kwargs):
-            submitted.append((fn.__name__, threading.get_ident()))
-            return submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(helper, "submit", recording_submit)
+        submits.clear()
         search.validate(22, 10, below=[21])
         # one submit, from this thread: the helper's half of the runs
-        assert submitted == [("half", threading.get_ident())]
-        # a validation that draws one run draws its noise block on the helper
-        submitted.clear()
+        assert submits == [("half", threading.get_ident())]
+        # a validation that draws one run splits its one block's two streams
+        submits.clear()
         search.validate(22, 11)
-        assert submitted == [("_noise_block", threading.get_ident())]
+        assert submits == [("half", threading.get_ident())]
+
+    def test_nested_kernel_runs_inline(self, submits):
+        # a lone run's per-block split, called inside both halves of another
+        # split, draws on its own thread and moves no bit
+        runs = [None, None]
+
+        def run(i):
+            runs[i] = powersim._slope_t_prefixes(
+                (300,), 0.4, SEED, np.arange(2_000), powersim._SLOPE_ROLES
+            )[0]
+
+        stochastics._split_items(2, run)
+        assert submits == [("half", threading.get_ident())]
+        for t_vals in runs:
+            assert hashlib.sha256(t_vals.tobytes()).hexdigest() == KERNEL_PINS["slope"]
+
+    @pytest.mark.parametrize("side", ["caller", "helper"], ids=["x_block", "e_block"])
+    def test_lone_run_block_error_reaches_the_caller(self, monkeypatch, side):
+        # a lone run draws x on this thread and e on the helper; either
+        # block raising on the second of three blocks fails the run with
+        # that same error and leaves the helper idle
+        caller = threading.get_ident()
+        real = powersim._stream_block
+        calls = []  # list.append is safe on the helper thread
+        error = RuntimeError("block 2 failed")
+
+        def failing(gen, a, cuts, out):
+            mine = (threading.get_ident() == caller) == (side == "caller")
+            if mine:
+                calls.append(gen)
+                if len(calls) == 2:
+                    raise error
+            real(gen, a, cuts, out)
+
+        monkeypatch.setattr(powersim, "_stream_block", failing)
+        with pytest.raises(RuntimeError) as raised:
+            slope_t_batch(300, 0.4, SEED, np.arange(2_000))
+        assert raised.value is error
+        assert len(calls) == 2
+        stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
 
 
 class TestRefineValidated:
-    """The one sample-size search, on a synthetic monotone predicate."""
+    """The one sample-size search, on synthetic predicates."""
 
     @settings(max_examples=300, deadline=None)
     @given(ceiling=st.integers(5, 10**6), data=st.data())
@@ -748,6 +802,29 @@ class TestRefineValidated:
         with pytest.raises(SearchFailureError, match="^nothing passes$"):
             powersim._refine_validated(passes, start, ceiling, "nothing passes")
         assert max(asked) <= ceiling
+
+    @settings(max_examples=300, deadline=None)
+    @given(ceiling=st.integers(5, 300), data=st.data())
+    def test_any_predicate_gives_a_crossing(self, ceiling, data):
+        # on a predicate that is not monotone in n the search returns a
+        # crossing, not always the smallest passing n
+        sizes = st.integers(5, ceiling)
+        passing = data.draw(st.sets(sizes), label="passing")
+        start = data.draw(sizes, label="start")
+        asked = []
+
+        def passes(n):
+            asked.append(n)
+            return n in passing
+
+        try:
+            n = powersim._refine_validated(passes, start, ceiling, "nothing passes")
+        except SearchFailureError:
+            assert ceiling in asked and ceiling not in passing
+        else:
+            assert n in passing
+            assert n == 5 or (n - 1 in asked and n - 1 not in passing)
+        assert all(5 <= m <= ceiling for m in asked)
 
     def test_step_up_stops_at_the_ceiling(self):
         # from 5 the steps go to 6 and then 8; the ceiling 7 is tried instead

@@ -1,7 +1,9 @@
 """Keyed streams, chi-square generation, and the empirical quantile rule."""
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import slopesize
 from slopesize.critvals import critical_value_mc
 from slopesize.exactnull import t2_null_draws
 from slopesize.stochastics import (
@@ -202,3 +205,29 @@ class TestSamplerBits:
         assert first_pass.min() < -math.sqrt(6.0)
         draws = chisq_array(StreamKey(SEED, 1, 0), 2, 100_000)
         assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+
+
+def _submit_callers() -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every `.submit(` call in the package."""
+    found = set()
+    for path in sorted(Path(slopesize.__file__).parent.glob("*.py")):
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "submit"
+            ):
+                found.add((path.stem, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_split_items_submits_to_the_helper():
+    # the helper thread has one way in, so a nested split can run inline
+    assert _submit_callers() == {("stochastics", "_split_items")}
