@@ -41,9 +41,8 @@ on both:
 
 Times are time.process_time() of the measuring process, which adds up the
 CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
-The search's validation runs, a lone kernel run's two streams and the
-exact-MC replicate loop are drawn on two threads, so their gains show in wall
-time.
+A lone correlation run's two streams and the exact-MC replicate loop are
+drawn on two threads, so their gains show in wall time.
 Each side's stdout of the commands (for corrmc, the hex powers) is recorded,
 and the script fails if the sides print different bytes: the change must
 leave seeded output as it was.
@@ -152,27 +151,23 @@ def cli_hits(cli, calls: int) -> tuple[float, float, str]:
 @contextlib.contextmanager
 def counting_validation_runs():
     """Record the validation runs the slope search draws: the first task id
-    of each kernel call at validation task ids.
-
-    Runs are drawn on two threads, so each is appended to a list, which
-    takes no read-modify-write that a thread switch could split.
-    """
+    of each slope_t_batch call at validation task ids."""
     from slopesize import powersim
     from slopesize.stochastics import VALIDATION_TASK_BASE
 
-    kernel = powersim._slope_t_prefixes
+    sampler = powersim.slope_t_batch
     runs: list[int] = []
 
-    def counting(lengths, lam, master_seed, tasks, roles):
+    def counting(n, lam, master_seed, tasks):
         if tasks[0] >= VALIDATION_TASK_BASE:
             runs.append(int(tasks[0]))
-        return kernel(lengths, lam, master_seed, tasks, roles)
+        return sampler(n, lam, master_seed, tasks)
 
-    powersim._slope_t_prefixes = counting
+    powersim.slope_t_batch = counting
     try:
         yield runs
     finally:
-        powersim._slope_t_prefixes = kernel
+        powersim.slope_t_batch = sampler
 
 
 def scout_searches(sizes: dict) -> tuple[int, float, float, str]:

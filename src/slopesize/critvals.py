@@ -20,10 +20,9 @@ master_seed), which is parsed afresh on every lookup, then the process's one
 in-process store (_MC_MEMO, keyed by (n, alpha, plan)), and only then draws.
 A draw also estimates the paper's three levels (TABLE1_LEVELS), so one set
 of draws at (n, plan) serves every level. The outer replicates are the items
-of a stochastics._split_items call, as the search's validation runs are: the
-caller draws the even ones and the package's helper thread the odd ones,
-unless the call is made inside another split's half, where it draws them all
-inline. Each replicate reads only its own keyed streams, so the split moves
+of a stochastics._split_items call: the caller draws the even ones and the
+package's helper thread the odd ones, unless the call is made inside another
+split's half, where it draws them all inline. Each replicate reads only its own keyed streams, so the split moves
 no bit. The memo lives only as long as the process, so it
 can never be stale; the file carries values across processes.
 """

@@ -5,37 +5,39 @@ all of its variates from an explicit (master_seed, task_id, stream_id) key,
 never from a shared sequential generator. A given key maps to a fixed
 position in the counter space of a Philox bit generator. A power run (one
 estimate over a range of consecutive task ids, one per trial) reads each of
-its two streams, keyed by its first task id, as a block with one row per
-observation and one column per trial, a bounded number of rows at a time;
-that number depends only on the trial count. So results are bit-identical
-for a given plan regardless of the order in which runs are evaluated, the
-thread that draws them, or the sample size a run is cut to. The package's one
-helper thread (_helper) is reached only through _split_items, which gives the
-caller the even items of a loop and the helper the odd ones, each item drawn
-whole on its thread. The validation runs of a search and the outer replicates
-of an exact-MC miss are such items; a lone kernel run's two streams are two
-items, block by block; and a split called inside a split's half runs all its
-items inline. So each generator is read by one thread, in the same order and
-block shapes, and each result is written by one thread, so no value depends
-on which thread draws it. A forked child gets its own helper
-(an at-fork hook binds a new executor).
+its streams, keyed by its first task id, with one variate (or, on the
+correlation route, one column of each block) per trial; a correlation run
+reads its blocks a bounded number of rows at a time, a number that depends
+only on the trial count. So results are bit-identical for a given plan
+regardless of the order in which runs are evaluated or the thread that draws
+them. The package's one helper thread (_helper) is reached only through
+_split_items, which gives the caller the even items of a loop and the helper
+the odd ones, each item drawn whole on its thread. It serves the outer
+replicates of an exact-MC miss and the two blocks of each step of a lone
+correlation run; a split called inside a split's half runs all its items
+inline. So each generator is read by one thread, in the same order and block
+shapes, and each result is written by one thread, so no value depends on
+which thread draws it. A forked child gets its own helper (an at-fork hook
+binds a new executor).
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
 
     0-3       chi-square factors W1..W4 of the null T^2 ratio
-    100       predictor block of a slope-power run (first task id)
-    101       noise block of a slope-power run (first task id)
+    100-101   not read (the predictor and noise blocks of the slope
+              route's former data simulation)
+    102       S_XX ~ chi2(n - 1) of a slope-power run (first task id)
+    103       RSS ~ chi2(n - 2) of a slope-power run
+    104       standard normal slope error Z of a slope-power run
     200       predictor block of a correlation-power run (first task id)
     201       second normal factor block of a correlation-power run
 
-A degenerate replicate (S_XX = 0 or RSS <= 0) is never redrawn: it fails
-its run, so no other stream id is read.
+A degenerate correlation replicate (S_XX = 0 or RSS <= 0) is never
+redrawn: it fails its run, so no other stream id is read.
 
 Validation runs in the sample-size search shift task ids by
 VALIDATION_TASK_BASE. This separates them from simulate_power_slope runs at
-task 0, and it keeps the validation draws, hence seeded search results, as
-they were when the search also ran probe estimates at task 0.
+task 0.
 
 A chi-square stream is read in Marsaglia-Tsang rejection passes: each pass
 draws m normals, then m uniforms, for its m pending candidates in index

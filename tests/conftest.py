@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from slopesize import critvals, powersim
+from slopesize import corroute, critvals
 from slopesize.critvals import CriticalValueCache
+from slopesize.stochastics import StreamKey, generator
 
 # one fixed seed for the whole suite so every Monte Carlo check is a
 # deterministic rerun of the same draws
@@ -25,7 +26,7 @@ def row_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 # -- reference fit: a two-pass least-squares fit of one sample, the oracle
-# the replicate kernel's running sums are checked against
+# the correlation kernel's running sums are checked against
 class FitError(ValueError):
     """The least-squares fit does not admit the slope t statistic."""
 
@@ -107,6 +108,14 @@ def fit_slope_stats(xs, ys) -> FitStats:
     )
 
 
+def run_reference_t1(master_seed: int, n: int, rho: float, first_task: int, trials: int) -> np.ndarray:
+    """T1 of every replicate of one correlation run, fitted directly on its x and z blocks."""
+    x = generator(StreamKey(master_seed, first_task, 200)).standard_normal((n, trials))
+    z = generator(StreamKey(master_seed, first_task, 201)).standard_normal((n, trials))
+    y = rho * x + math.sqrt(1.0 - rho * rho) * z
+    return np.array([fit_slope_stats(x[:, i], y[:, i]).t_corr for i in range(trials)])
+
+
 @pytest.fixture(autouse=True)
 def fresh_critval_memo():
     """Start every test with no exact-MC estimate kept in process.
@@ -139,14 +148,13 @@ def session_cache(tmp_path_factory) -> CriticalValueCache:
 
 @pytest.fixture
 def constant_column(monkeypatch):
-    """constant_column(column, role, first_task=None) makes one trial's stream constant.
+    """constant_column(column, role) makes one trial's stream constant.
 
-    It patches powersim.generator so that the blocks read from stream id
-    role hold 1.0 in one column, which makes that trial of every run on
-    the role degenerate (S_XX = 0) at every sample size. Given first_task,
-    only the run keyed by that first task id is patched.
+    It patches corroute.generator so that the blocks read from stream id
+    role (200 or 201) hold 1.0 in one column, which makes that trial of
+    every correlation run degenerate at every sample size.
     """
-    real = powersim.generator
+    real = corroute.generator
 
     class ConstantColumn:
         def __init__(self, gen, column):
@@ -158,12 +166,11 @@ def constant_column(monkeypatch):
             block[:, self._column] = 1.0
             return block
 
-    def patch(column, role, first_task=None):
+    def patch(column, role):
         def patched(key):
             gen = real(key)
-            run = first_task is None or key.task_id == first_task
-            return ConstantColumn(gen, column) if key.stream_id == role and run else gen
+            return ConstantColumn(gen, column) if key.stream_id == role else gen
 
-        monkeypatch.setattr(powersim, "generator", patched)
+        monkeypatch.setattr(corroute, "generator", patched)
 
     return patch

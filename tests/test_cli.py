@@ -186,9 +186,8 @@ class TestPower:
         assert critvals._MC_MEMO == {}
 
     @pytest.mark.parametrize("route, role", [
-        (["--route", "slope", "--lambda", "0.5"], 100),
         (["--route", "corr", "--mc", "--rho", "0.4"], 200),
-    ], ids=["slope", "corr"])
+    ], ids=["corr"])
     def test_degenerate_trial_is_numerical_failure(self, capsys, constant_column, route, role):
         constant_column(3, role)
         code, out, err = run_cli(
@@ -197,6 +196,16 @@ class TestPower:
         assert code == 3
         assert out == ""
         assert "task id 3 is degenerate at n=30" in err
+
+    @pytest.mark.parametrize("alpha, shown", [("1.5", "1.5"), ("0", "0.0")])
+    def test_corr_mc_out_of_range_alpha_is_usage_error(self, capsys, alpha, shown):
+        code, out, err = run_cli(
+            capsys, "power", "--route", "corr", "--mc", "--n", "30", "--rho", "0.3",
+            "--alpha", alpha, "--seed", "1", "--fast",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"alpha must lie strictly inside (0, 1), got {shown}" in err
 
     def test_fixed_route_missing_params(self, capsys):
         code, _, err = run_cli(
@@ -418,20 +427,22 @@ class TestCacheCommand:
 # stdout of fixed-seed commands, captured before the correlation Monte Carlo
 # moved onto the slope kernel and the normal quantile onto NormalDist; the
 # slope and correlation Monte Carlo lines were captured again when each run
-# moved onto one stream pair (the critical-value lines did not move)
+# moved onto one stream pair (the critical-value lines did not move), and
+# the slope lines once more when slope runs came to be drawn from the law
+# of T
 GOLDEN_STDOUT = [
     ("critval --n 30 --alpha 0.05 --method exact --seed 1 --fast",
      "n=30 alpha=0.05 value=0.394253 sd=0.016264 method=exact_mc\n"),
     ("critval --n 30 --alpha 0.05 --method normal",
      "n=30 alpha=0.05 value=0.391434 sd=0.0 method=normal_approx\n"),
     ("power --route slope --n 48 --lambda 0.5 --alpha 0.05 --seed 1 --fast",
-     "n=48 alpha=0.05 lambda=0.5 power=0.917 sd=0.008724 route=slope\n"),
+     "n=48 alpha=0.05 lambda=0.5 power=0.902 sd=0.009402 route=slope\n"),
     ("power --route corr --mc --n 123 --rho 0.2873 --alpha 0.05 --seed 1 --fast",
      "n=123 alpha=0.05 rho=0.2873 power=0.896 sd=0.009653 route=correlation-mc\n"),
     ("power --route fixed --A 0.5 --sxx 100 --sigma 1 --n 30 --alpha 0.05",
      "n=30 alpha=0.05 power=0.997897 route=fixed\n"),
     ("samplesize --route slope --alpha 0.10 --power 0.8 --lambda 0.6 --fast --seed 1",
-     "n=22 target_power=0.8 validated_mean=0.80292 validated_sd=0.010503 route=slope\n"),
+     "n=22 target_power=0.8 validated_mean=0.80106 validated_sd=0.01454 route=slope\n"),
     ("samplesize --route corr --lambda 0.5 --alpha 0.05 --power 0.90",
      "n=48 target_power=0.9 rho=0.447214 power_at_n=0.902721 route=correlation\n"),
 ]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import fit_slope_stats
+from conftest import run_reference_t1
 from slopesize import corroute
 from slopesize.corroute import (
     contrast_table,
@@ -21,7 +21,7 @@ from slopesize.corroute import (
     rho_to_lambda,
 )
 from slopesize.powersim import SearchFailureError, power_table
-from slopesize.stochastics import SimPlan, StreamKey, generator
+from slopesize.stochastics import SimPlan
 
 SEED = 20260808
 
@@ -55,14 +55,6 @@ CORR_N_PINNED = {
            0.3: [137, 173, 207, 278], 0.4: [80, 101, 120, 161],
            0.5: [53, 67, 80, 107], 0.6: [39, 49, 58, 77]},
 }
-
-
-def run_reference_t1(n, rho, first_task, trials):
-    """T1 of every replicate of one run, fitted directly on its x and z blocks."""
-    x = generator(StreamKey(SEED, first_task, 200)).standard_normal((n, trials))
-    z = generator(StreamKey(SEED, first_task, 201)).standard_normal((n, trials))
-    y = rho * x + math.sqrt(1.0 - rho * rho) * z
-    return np.array([fit_slope_stats(x[:, i], y[:, i]).t_corr for i in range(trials)])
 
 
 class TestBridge:
@@ -173,7 +165,7 @@ class TestCorrPowerMc:
     def test_t1_matches_direct_fit(self, n, rho):
         tasks = np.arange(17, 57)
         t1 = corr_t1_batch(n, rho, SEED, tasks)
-        assert t1 == pytest.approx(run_reference_t1(n, rho, 17, len(tasks)), rel=1e-12)
+        assert t1 == pytest.approx(run_reference_t1(SEED, n, rho, 17, len(tasks)), rel=1e-12)
 
     def test_t1_null_distribution(self):
         # under rho=0 the statistic is exactly t with n-2 df

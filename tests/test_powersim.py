@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from conftest import (
     DegenerateXError,
@@ -23,16 +24,17 @@ from conftest import (
     SpreadUnderflowError,
     fit_slope_stats,
     row_moments,
+    run_reference_t1,
 )
-from slopesize import critvals, powersim, stochastics
-from slopesize.corroute import corr_t1_batch
+from slopesize import corroute, critvals, powersim, stochastics
+from slopesize.corroute import corr_t1_batch, lambda_to_rho, rho_to_lambda
 from slopesize.critvals import (
     EXACT_MC,
     CriticalValueEstimate,
     cached_critical_value,
     critical_value_mc,
 )
-from slopesize.distmath import t_quantile
+from slopesize.distmath import fixed_design_power, t_quantile
 from slopesize.powersim import (
     SearchFailureError,
     find_sample_size_slope,
@@ -44,15 +46,17 @@ from slopesize.stochastics import (
     VALIDATION_TASK_BASE,
     SimPlan,
     StreamKey,
+    chisq_array,
     generator,
+    normal_array,
 )
 
 SEED = 20260808
 
-# sha256 of the t values of runs of 2,000 trials at n = 300: 131 rows per
-# block, so each run spans three blocks of both streams
+# sha256 of the t values of runs of 2,000 trials at n = 300; a correlation
+# run reads 131 rows per block, so it spans three blocks of both streams
 KERNEL_PINS = {
-    "slope": "115d9ebcf369624695d39f23b9efa24fd448c6066a91698aae0d8b3fb6a7dbbc",
+    "slope": "cca088327aecd4625f7b69e6ac06e56acffb7c3908e325dbbef577682a16920b",
     "corr": "5d589fce64e30178d4d4a2cde2ae0935e6a6f4cdbd364a054c829ac69108e13c",
 }
 
@@ -69,10 +73,19 @@ def exact_null_critval(n: int, alpha: float) -> CriticalValueEstimate:
 
 
 def run_reference_t(n: int, lam: float, first_task: int, trials: int) -> np.ndarray:
-    """t_slope of every trial of one run, by a two-pass fit of its whole block."""
-    x = generator(StreamKey(SEED, first_task, powersim._X_STREAM)).standard_normal((n, trials))
-    e = generator(StreamKey(SEED, first_task, powersim._EPS_STREAM)).standard_normal((n, trials))
-    return np.array([fit_slope_stats(x[:, i], lam * x[:, i] + e[:, i]).t_slope for i in range(trials)])
+    """t_slope of every trial of one run, from its three keyed streams, a trial at a time."""
+    key = StreamKey(SEED, first_task)
+    s = chisq_array(key.with_stream(102), n - 1, trials)
+    w = chisq_array(key.with_stream(103), n - 2, trials)
+    z = normal_array(key.with_stream(104), trials)
+    return np.array([
+        (lam * math.sqrt(s_i) + z_i) / math.sqrt(w_i / (n - 2)) / math.sqrt(n - 1)
+        for s_i, w_i, z_i in zip(s, w, z)
+    ])
+
+
+def sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 # a small exact-MC plan: its seven replicates are split across both threads
@@ -80,10 +93,10 @@ FORK_CV_PLAN = SimPlan(reps_inner=1_000, reps_outer=7, master_seed=SEED)
 
 
 def forked_run_bytes() -> bytes:
-    """One kernel run and one exact-MC critical value, drawn afresh."""
+    """One correlation kernel run and one exact-MC critical value, drawn afresh."""
     critvals._MC_MEMO.clear()  # a forked child inherits the parent's estimates
     value = critical_value_mc(30, 0.05, FORK_CV_PLAN).value
-    return slope_t_batch(50, 0.3, SEED, np.arange(100)).tobytes() + value.hex().encode()
+    return corr_t1_batch(50, 0.3, SEED, np.arange(100)).tobytes() + value.hex().encode()
 
 
 def send_forked_run(conn) -> None:
@@ -236,13 +249,11 @@ class TestSimulatePowerSlope:
         one = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         two = simulate_power_slope(30, 0.3, 0.05, c30, reps=5_000, master_seed=SEED)
         assert one == two
-        # draws at a smaller n are a prefix of the draws at a larger n: the t
-        # values cut from one draw at 30 equal a draw at each shorter size
+        # no stream's key depends on n, so a run at a neighbouring size
+        # shares its underlying draws and its t values move with them
         tasks = np.arange(500, 1_500, dtype=np.int64)
-        lengths = (30, 29, 27, 5)
-        cut = powersim._slope_t_prefixes(lengths, 0.3, SEED, tasks, powersim._SLOPE_ROLES)
-        for m, t_vals in zip(lengths, cut):
-            assert t_vals.tobytes() == slope_t_batch(m, 0.3, SEED, tasks).tobytes()
+        t30, t31 = (slope_t_batch(m, 0.3, SEED, tasks) for m in (30, 31))
+        assert np.corrcoef(t30, t31)[0, 1] > 0.9
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -250,6 +261,8 @@ class TestSimulatePowerSlope:
 
 
 class TestSlopeTBatch:
+    """The slope sampler and the correlation route's data simulation."""
+
     @pytest.mark.parametrize(
         "batch",
         [
@@ -268,36 +281,27 @@ class TestSlopeTBatch:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
-    def test_prefixes_are_bit_identical_across_block_boundaries(self, monkeypatch):
-        # 100 trials read 10 observations per block: the sizes below end
-        # inside, at and just past block boundaries
-        monkeypatch.setattr(powersim, "_CHUNK_VARIATES", 1_000)
-        tasks = np.arange(40, 140, dtype=np.int64)
-        lengths = (37, 30, 29, 21, 20, 11, 10, 9, 5)
-        cut = powersim._slope_t_prefixes(lengths, 0.4, SEED, tasks, powersim._SLOPE_ROLES)
-        for m, t_vals in zip(lengths, cut):
-            assert t_vals.tobytes() == slope_t_batch(m, 0.4, SEED, tasks).tobytes()
-
     @pytest.mark.parametrize("chunk", [1_000, 4096 * 64])
     def test_blocked_moments_match_two_pass_fit(self, monkeypatch, chunk):
-        monkeypatch.setattr(powersim, "_CHUNK_VARIATES", chunk)
-        n, lam, trials = 47, 0.7, 100
-        tasks = np.arange(3_000, 3_000 + trials, dtype=np.int64)
-        t_vals = slope_t_batch(n, lam, SEED, tasks)
-        assert t_vals == pytest.approx(run_reference_t(n, lam, 3_000, trials), rel=1e-12)
+        # at the small chunk 100 trials read 10 observations per block
+        monkeypatch.setattr(corroute, "_CHUNK_VARIATES", chunk)
+        n, rho, trials = 47, 0.7, 100
+        t1 = corr_t1_batch(n, rho, SEED, np.arange(3_000, 3_000 + trials))
+        assert t1 == pytest.approx(run_reference_t1(SEED, n, rho, 3_000, trials), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [1e3, 1e6])
     def test_large_effect_matches_two_pass_fit_of_noise(self, lam):
-        # the residuals of lam * x + e on x are those of e, so a fit of the
-        # noise block with beta1_hat = lam + S_XE / S_XX is exact at any lam
+        # the residuals of lam * x + z on x are those of z, so a fit of the
+        # noise block with beta1_hat = lam + S_XZ / S_XX is exact at any lam
         n, trials = 20, 1_000
-        x = generator(StreamKey(1, 0, powersim._X_STREAM)).standard_normal((n, trials))
-        e = generator(StreamKey(1, 0, powersim._EPS_STREAM)).standard_normal((n, trials))
-        sxx, sxe, see = row_moments(x.T, e.T)
-        rss = see - sxe * sxe / sxx
-        expected = (lam + sxe / sxx) * np.sqrt(sxx / (n - 1)) / np.sqrt(rss / (n - 2))
-        t_vals = slope_t_batch(n, lam, 1, np.arange(trials))
-        assert t_vals == pytest.approx(expected, rel=1e-12)
+        rho = lambda_to_rho(lam)
+        lam = rho_to_lambda(rho)  # the effect size the run fits
+        x = generator(StreamKey(1, 0, 200)).standard_normal((n, trials))
+        z = generator(StreamKey(1, 0, 201)).standard_normal((n, trials))
+        sxx, sxz, szz = row_moments(x.T, z.T)
+        rss = szz - sxz * sxz / sxx
+        expected = (lam + sxz / sxx) * np.sqrt(sxx) / np.sqrt(rss / (n - 2))
+        assert corr_t1_batch(n, rho, 1, np.arange(trials)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "batch, name",
@@ -308,28 +312,25 @@ class TestSlopeTBatch:
         ids=["slope", "corr"],
     )
     def test_three_block_runs_are_pinned(self, batch, name):
-        # the noise blocks come from the helper thread; not a bit may move
-        assert hashlib.sha256(batch().tobytes()).hexdigest() == KERNEL_PINS[name]
+        # the correlation run's noise blocks come from the helper thread;
+        # not a bit may move
+        assert sha256(batch()) == KERNEL_PINS[name]
 
     def test_values_hold_with_fast_thread_switches(self):
-        # the helper thread writes its noise sums into the caller's arrays;
+        # the helper thread writes its noise sums into the caller's block;
         # switching threads every microsecond must not move a bit
-        tasks = np.arange(2_000)
-        lengths = (300, 299, 262, 131, 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            cut = powersim._slope_t_prefixes(lengths, 0.4, SEED, tasks, powersim._SLOPE_ROLES)
+            t1 = corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
         finally:
             sys.setswitchinterval(interval)
-        assert hashlib.sha256(cut[0].tobytes()).hexdigest() == KERNEL_PINS["slope"]
-        for m, t_vals in zip(lengths, cut):
-            assert t_vals.tobytes() == slope_t_batch(m, 0.4, SEED, tasks).tobytes()
+        assert sha256(t1) == KERNEL_PINS["corr"]
 
     def test_forked_child_gets_its_own_helper(self):
-        # the kernel and the critical value use the helper thread, which a
-        # forked child lacks; a child that kept the parent's executor would
-        # wait on it forever
+        # the correlation kernel and the critical value use the helper
+        # thread, which a forked child lacks; a child that kept the parent's
+        # executor would wait on it forever
         want = forked_run_bytes()
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
@@ -347,10 +348,11 @@ class TestSlopeTBatch:
         assert got == want
 
     def test_kernel_starts_at_most_one_thread(self):
-        # the kernel and an exact-MC miss share the package's one helper thread
+        # the correlation kernel and an exact-MC miss share the package's
+        # one helper thread
         before = threading.active_count()
         for run in range(50):
-            slope_t_batch(20, 0.3, SEED, np.arange(run * 100, run * 100 + 100))
+            corr_t1_batch(20, 0.3, SEED, np.arange(run * 100, run * 100 + 100))
         critical_value_mc(30, 0.05, FORK_CV_PLAN)
         assert threading.active_count() <= before + 1
         helpers = [t for t in threading.enumerate() if t.name.startswith("slopesize-helper")]
@@ -371,25 +373,14 @@ class TestSlopeTBatch:
         t_vals = slope_t_batch(20, 1e9, 1, np.arange(1_000))
         assert np.all(np.isfinite(t_vals))
 
-    @pytest.mark.parametrize(
-        "batch, role, lam",
-        [
-            (slope_t_batch, powersim._X_STREAM, 0.4),
-            (slope_t_batch, powersim._X_STREAM, 1e6),
-            (slope_t_batch, powersim._X_STREAM, 1e9),
-            (slope_t_batch, powersim._EPS_STREAM, 0.4),
-            (corr_t1_batch, 200, 0.4),
-            (corr_t1_batch, 201, 0.4),
-        ],
-        ids=["slope", "slope-1e6", "slope-1e9", "slope-noise", "corr", "corr-noise"],
-    )
-    def test_degenerate_trial_raises(self, constant_column, batch, role, lam):
-        # a constant predictor makes trial 3 (task id 7) degenerate, which
-        # fails the whole run; S_XX is exactly 0 however large lam is. A
-        # constant noise column, drawn on the helper thread, leaves RSS <= 0
+    @pytest.mark.parametrize("role", [200, 201], ids=["corr", "corr-noise"])
+    def test_degenerate_trial_raises(self, constant_column, role):
+        # a constant predictor column makes trial 3 (task id 7) degenerate
+        # (S_XX = 0), which fails the whole run; a constant noise column,
+        # drawn on the helper thread, leaves RSS <= 0
         constant_column(3, role)
         with pytest.raises(SearchFailureError, match=r"task id 7 is degenerate at n=20 "):
-            batch(20, lam, SEED, np.arange(4, 12))
+            corr_t1_batch(20, 0.4, SEED, np.arange(4, 12))
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_lambda(self, lam):
@@ -410,7 +401,8 @@ class TestSlopeTBatch:
 
     def test_split_tasks_are_separate_runs(self):
         # each part of a split task range is its own run, keyed by its first
-        # task id: its values fit its own block, not the columns of the whole
+        # task id: its values come from its own streams, not from the tail
+        # of the whole run's
         tasks = np.arange(1_000, dtype=np.int64)
         whole = slope_t_batch(600, 0.3, SEED, tasks)
         tail = slope_t_batch(600, 0.3, SEED, tasks[300:])
@@ -420,36 +412,68 @@ class TestSlopeTBatch:
         assert slope_t_batch(600, 0.3, SEED, tasks).tobytes() == whole.tobytes()
 
 
+class TestSamplerLaw:
+    """The slope sampler against the data simulation and the exact power.
+
+    The bounds were set before the first run, and the seeds are the suite's.
+    """
+
+    CASES = [(5, 0.5), (25, 0.0), (49, 0.5), (300, 0.2), (20, 1e3)]
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("n, lam", CASES)
+    def test_matches_the_data_simulation_in_law(self, n, lam):
+        # sqrt(n - 1) * T on data is T1 at rho = lam / sqrt(1 + lam^2)
+        tasks = np.arange(self.TRIALS)
+        sampled = slope_t_batch(n, lam, SEED, tasks)
+        fitted = corr_t1_batch(n, lambda_to_rho(lam), SEED, tasks) / math.sqrt(n - 1)
+        assert stats.ks_2samp(sampled, fitted).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n, lam", CASES)
+    def test_power_lies_in_a_binomial_band_around_the_exact_power(self, n, lam):
+        # at C_t = t_{1-alpha/2, n-2} / sqrt(n - 1) the power is the
+        # fixed-design power averaged over S_XX ~ chi2(n - 1)
+        alpha = 0.05
+        chi2 = stats.chi2(n - 1)
+        exact, _ = integrate.quad(
+            lambda s: fixed_design_power(lam, s, 1.0, n, alpha) * chi2.pdf(s),
+            chi2.ppf(1e-12), chi2.isf(1e-12), limit=200,
+        )
+        est = simulate_power_slope(n, lam, alpha, exact_null_critval(n, alpha),
+                                   self.TRIALS, SEED, task_base=10**6)
+        assert abs(est.power - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+
+
 # (lam, alpha, target, power plan, critical-value plan) and the search result
-# (n, validated_mean.hex(), validated_sd.hex()), recorded with one stream
-# pair per run; memoized runs and window sizes must not move a bit
+# (n, validated_mean.hex(), validated_sd.hex()), recorded with each run drawn
+# from the law of T; memoized runs must not move a bit
 GOLDEN_SEARCHES = [
     (
         (0.6, 0.10, 0.80, SimPlan(1_000, 60, SEED), SimPlan(2_000, 10, SEED)),
-        (22, "0x1.98fc504816f00p-1", "0x1.8647ad25b2c7fp-7"),
+        (22, "0x1.996bb98c7e283p-1", "0x1.75fe5ff9298ccp-7"),
     ),
     (
         (0.6, 0.10, 0.90, SimPlan(500, 55, SEED + 2), SimPlan(1_000, 10, SEED)),
-        (29, "0x1.cd2297b371295p-1", "0x1.aa0a75b5193fep-7"),
+        (29, "0x1.cbd4f46b63c1bp-1", "0x1.ac57c00cb278ap-7"),
     ),
 ]
 
 
-# validation runs each GOLDEN_SEARCHES search draws (kernel calls)
-GOLDEN_RUNS_DRAWN = {cell: runs for (cell, _), runs in zip(GOLDEN_SEARCHES, [60, 60])}
+# validation runs each GOLDEN_SEARCHES search draws (sampler calls)
+GOLDEN_RUNS_DRAWN = {cell: runs for (cell, _), runs in zip(GOLDEN_SEARCHES, [110, 105])}
 
 
-def record_validation_runs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
-    """Wrap the kernel; the list returned gets (lengths, first task id) per validation run drawn."""
+def record_validation_runs(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap the sampler; the list returned gets (n, first task id) per validation run drawn."""
     calls = []
-    kernel = powersim._slope_t_prefixes
+    sampler = powersim.slope_t_batch
 
-    def recording_kernel(lengths, lam, master_seed, tasks, roles):
+    def recording_sampler(n, lam, master_seed, tasks):
         if tasks[0] >= VALIDATION_TASK_BASE:
-            calls.append((tuple(lengths), int(tasks[0])))
-        return kernel(lengths, lam, master_seed, tasks, roles)
+            calls.append((n, int(tasks[0])))
+        return sampler(n, lam, master_seed, tasks)
 
-    monkeypatch.setattr(powersim, "_slope_t_prefixes", recording_kernel)
+    monkeypatch.setattr(powersim, "slope_t_batch", recording_sampler)
     return calls
 
 
@@ -460,143 +484,44 @@ class TestFindSampleSize:
         calls = record_validation_runs(monkeypatch)
         res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=cv_plan)
         assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == golden
-        # no validation run is cut twice at the same n, window sizes included
-        cut = collections.Counter((m, task) for lengths, task in calls for m in lengths)
-        assert cut and max(cut.values()) == 1
+        # no validation run is drawn twice at the same n
+        assert calls and max(collections.Counter(calls).values()) == 1
         assert len(calls) == GOLDEN_RUNS_DRAWN[cell]
 
-    def test_failed_start_draws_nothing_one_size_up(self, monkeypatch):
-        # at the benchmark's plans this search starts at 29, fails there and
-        # passes at 30: the validation at 29 also cut its runs at 30, so the
-        # search draws nothing at 30 and gets the result of drawing it afresh
-        calls = record_validation_runs(monkeypatch)
-        plan = SimPlan(1_000, 51, 1)
-        res = find_sample_size_slope(0.5, 0.10, 0.80, plan, critval_plan=SimPlan(10_000, 10, 1))
-        assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == (
-            30, "0x1.9cd2952480a99p-1", "0x1.b5af5d3d9669cp-7"
-        )
-        assert not any(lengths[0] == res.n for lengths, _ in calls)
-        assert all(res.n in lengths for lengths, _ in calls)
-        assert len(calls) == plan.reps_outer
-
-    def test_no_size_above_a_passing_one_is_cut(self, monkeypatch):
-        # at the benchmark's plans this search's start, 22, passes its scout;
-        # the full validation after it draws one more run, which keeps
-        # nothing at 23
-        calls = record_validation_runs(monkeypatch)
-        plan = SimPlan(1_000, 51, 1)
-        res = find_sample_size_slope(0.6, 0.10, 0.80, plan, critval_plan=SimPlan(10_000, 10, 1))
-        assert res.n == 22
-        assert [lengths for lengths, _ in calls] == [(22, 21, 20, 19, 23)] * 50 + [(22,)]
-
-    def test_size_above_is_cut_only_when_open(self, monkeypatch):
-        # runs kept at a size are runs 0, 1, ... and are never cut twice:
-        # a draw at n cuts n + 1 only when n + 1 is unscored and its kept
-        # runs end where the draw starts
-        calls = record_validation_runs(monkeypatch)
+    def test_run_power_does_not_depend_on_earlier_validations(self):
+        # a run's power at n comes from its own keys alone: validations at
+        # other sizes, or a shallower one at n, before it move no bit
         plan, cv_plan = SimPlan(200, 10, SEED), SimPlan(1_000, 5, SEED)
         search = powersim._SlopeSearch(0.6, 0.10, 0.80, plan, None, cv_plan)
-        search.validate(26, 4, below=[25])  # keeps runs 0-3 at 25 and at 27
-        search.validate(24, 6)  # 25 keeps runs 0-3, this draw starts at run 0
-        search.validate(23, 3)  # 24 has been scored
-        search.validate(20, 2)  # 21 is open
-        drawn = [lengths for lengths, _ in calls]
-        assert drawn == [(26, 25, 27)] * 4 + [(24,)] * 6 + [(23,)] * 3 + [(20, 21)] * 2
+        for n, runs in ((26, 4), (24, 6), (25, 3), (27, 10)):
+            search.validate(n, runs)
         fresh = powersim._SlopeSearch(0.6, 0.10, 0.80, plan, None, cv_plan)
-        assert search.validate(25, 6) == fresh.validate(25, 6)
-        assert search.validate(27, 4) == fresh.validate(27, 4)
+        assert search.validate(25, 10) == fresh.validate(25, 10)
+        assert search._powers[25] == fresh._powers[25]
 
     def test_critical_values_only_at_sizes_asked_for(self, monkeypatch):
-        # a validation's window sizes, below it and one above, get a critical
-        # value only once the search asks for them
-        asked, computed = set(), []
+        # the search draws runs and fetches a critical value only at the
+        # sizes it validates, and at every one of them
+        validated, computed = set(), []
         lookup = powersim.cached_critical_value
+        validate = powersim._SlopeSearch.validate
 
         def recording_lookup(n, alpha, plan, cache=None):
             computed.append(n)
             return lookup(n, alpha, plan, cache)
 
-        def asking(method):
-            def wrapper(search, n):
-                asked.add(n)
-                return method(search, n)
-            return wrapper
+        def recording_validate(search, n, runs):
+            validated.add(n)
+            return validate(search, n, runs)
 
         monkeypatch.setattr(powersim, "cached_critical_value", recording_lookup)
-        monkeypatch.setattr(powersim._SlopeSearch, "passes", asking(powersim._SlopeSearch.passes))
+        monkeypatch.setattr(powersim._SlopeSearch, "validate", recording_validate)
         calls = record_validation_runs(monkeypatch)
-        # at this seed the search stops at its start, 29, whose scout draws
-        # the window sizes 27 and 26 below it and 30 above it, none of them
-        # asked for
         plan = SimPlan(500, 55, SEED)
         res = find_sample_size_slope(0.6, 0.10, 0.90, plan, critval_plan=SimPlan(1_000, 10, SEED))
-        cut_above = {m for lengths, _ in calls for m in lengths if m > lengths[0]}
-        assert res.n + 1 in cut_above - asked
-        assert {26, 27} <= {m for lengths, _ in calls for m in lengths} - asked
-        assert computed and set(computed) <= asked
-
-    def test_kept_values_stay_bounded(self, monkeypatch):
-        # |t| kept for a window size: at most reps_outer runs for a size cut
-        # above a validation, scout_runs runs for one only ever cut below,
-        # and none once the size has been scored
-        plan = SimPlan(200, 60, SEED)
-        calls = record_validation_runs(monkeypatch)
-        peak = collections.Counter()
-        validate = powersim._SlopeSearch.validate
-
-        def checked_validate(search, n, runs, *below):
-            result = validate(search, n, runs, *below)
-            kept = search._window_abs_t
-            assert n not in kept and not kept.keys() & search._powers.keys()
-            above = {m for lengths, _ in calls for m in lengths if m > lengths[0]}
-            for m, values in kept.items():
-                floats = sum(v.size for v in values)
-                runs_bound = plan.reps_outer if m in above else search.scout_runs
-                assert floats <= runs_bound * plan.reps_inner
-                peak[m in above] = max(peak[m in above], floats)
-            return result
-
-        monkeypatch.setattr(powersim._SlopeSearch, "validate", checked_validate)
-        # at this seed the start, 22, fails its full validation, which keeps
-        # all 60 runs at 23
-        find_sample_size_slope(0.6, 0.10, 0.80, plan, critval_plan=SimPlan(1_000, 10, SEED))
-        assert peak[True] == plan.reps_outer * plan.reps_inner
-        assert peak[False] == 50 * plan.reps_inner
-
-    @pytest.mark.parametrize(
-        "cell, golden",
-        [
-            *GOLDEN_SEARCHES,
-            (
-                (0.5, 0.10, 0.80, SimPlan(1_000, 51, 1), SimPlan(10_000, 10, 1)),
-                (30, "0x1.9cd2952480a99p-1", "0x1.b5af5d3d9669cp-7"),
-            ),
-        ],
-    )
-    def test_kept_values_past_a_decided_size_are_dropped(self, monkeypatch, cell, golden):
-        # once a size fails, nothing at or below it is kept; once one passes,
-        # nothing above it; and the answer is the one recorded before
-        lam, alpha, target, plan, cv_plan = cell
-        cut, dropped = set(), set()  # sizes ever kept; those dropped unscored
-        passes, validate = powersim._SlopeSearch.passes, powersim._SlopeSearch.validate
-
-        def recording_validate(search, *args):
-            result = validate(search, *args)
-            cut.update(search._window_abs_t)
-            return result
-
-        def checked_passes(search, n):
-            passed = passes(search, n)
-            kept = set(search._window_abs_t)
-            assert all(m <= n for m in kept) if passed else all(m > n for m in kept)
-            dropped.update(cut - kept - search._powers.keys())
-            return passed
-
-        monkeypatch.setattr(powersim._SlopeSearch, "validate", recording_validate)
-        monkeypatch.setattr(powersim._SlopeSearch, "passes", checked_passes)
-        res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=cv_plan)
-        assert (res.n, res.validated_mean.hex(), res.validated_sd.hex()) == golden
-        assert dropped
+        drawn = {n for n, _ in calls}
+        assert set(computed) == validated
+        assert res.n in drawn and drawn <= validated
 
     def test_small_cell_matches_published_value(self, session_cache):
         # table anchor: lam=0.6, alpha=0.10, 80% -> n = 21
@@ -634,7 +559,7 @@ class TestFindSampleSize:
             monkeypatch.setattr(powersim, name, wrapper)
 
         counting("cached_critical_value")
-        counting("_slope_t_prefixes")
+        counting("slope_t_batch")
         plan = SimPlan(reps_inner=500, reps_outer=10, master_seed=SEED)
         with pytest.raises(SearchFailureError, match=r"n_ceiling=50 .*lam=0\.05, alpha=0\.05"):
             find_sample_size_slope(
@@ -644,14 +569,7 @@ class TestFindSampleSize:
                 n_ceiling=50,
             )
         assert calls.count("cached_critical_value") == 0
-        assert calls.count("_slope_t_prefixes") == 0
-
-
-def kept_state(search) -> tuple[dict, dict]:
-    """Copies of a search's kept powers and window |t| (as bytes)."""
-    powers = {n: list(values) for n, values in search._powers.items()}
-    abs_t = {m: [a.tobytes() for a in values] for m, values in search._window_abs_t.items()}
-    return powers, abs_t
+        assert calls.count("slope_t_batch") == 0
 
 
 @pytest.fixture
@@ -676,59 +594,8 @@ def submits(monkeypatch) -> list[tuple[str, int]]:
     return submitted
 
 
-class TestSplitValidation:
-    """A validation's runs drawn on two threads, the even ones on the caller."""
-
-    def test_matches_a_serial_loop_with_fast_thread_switches(self):
-        (lam, alpha, target, plan, cv_plan), _ = GOLDEN_SEARCHES[0]
-        search = powersim._SlopeSearch(lam, alpha, target, plan, None, cv_plan)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            search.validate(22, plan.reps_outer, below=[21, 20, 19])
-        finally:
-            sys.setswitchinterval(interval)
-        c = cached_critical_value(22, alpha, cv_plan).value
-        lengths = (22, 21, 20, 19, 23)
-        powers, abs_t = [], {m: [] for m in lengths[1:]}
-        for v in range(plan.reps_outer):
-            base = VALIDATION_TASK_BASE + v * plan.reps_inner
-            tasks = np.arange(base, base + plan.reps_inner)
-            t_n, *t_window = powersim._slope_t_prefixes(
-                lengths, lam, plan.master_seed, tasks, powersim._SLOPE_ROLES
-            )
-            powers.append(np.count_nonzero(np.abs(t_n) > c) / plan.reps_inner)
-            for m, t_vals in zip(lengths[1:], t_window):
-                abs_t[m].append(np.abs(t_vals).tobytes())
-        assert kept_state(search) == ({22: powers}, abs_t)
-
-    @pytest.mark.parametrize("run", [3, 2], ids=["helper_half", "caller_half"])
-    def test_degenerate_run_raises_and_keeps_nothing(self, constant_column, run):
-        plan, cv_plan = SimPlan(200, 10, SEED), SimPlan(1_000, 5, SEED)
-        search = powersim._SlopeSearch(0.6, 0.10, 0.80, plan, None, cv_plan)
-        search.validate(26, 2, below=[25])  # keeps runs 0-1 at 25 and at 27
-        before = kept_state(search)
-        # the next validation at 25 draws runs 2-5: 2 and 4 on this thread,
-        # 3 and 5 on the helper
-        first_task = VALIDATION_TASK_BASE + run * plan.reps_inner
-        constant_column(3, powersim._X_STREAM, first_task)
-        with pytest.raises(SearchFailureError, match=rf"task id {first_task + 3} is degenerate at n=25 "):
-            search.validate(25, 6)
-        assert kept_state(search) == before
-        stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
-
-    def test_helper_never_submits_to_itself(self, submits):
-        (lam, alpha, target, plan, cv_plan), _ = GOLDEN_SEARCHES[0]
-        search = powersim._SlopeSearch(lam, alpha, target, plan, None, cv_plan)
-        cached_critical_value(22, alpha, cv_plan)  # its draws are split too
-        submits.clear()
-        search.validate(22, 10, below=[21])
-        # one submit, from this thread: the helper's half of the runs
-        assert submits == [("half", threading.get_ident())]
-        # a validation that draws one run splits its one block's two streams
-        submits.clear()
-        search.validate(22, 11)
-        assert submits == [("half", threading.get_ident())]
+class TestKernelSplit:
+    """A lone correlation run draws its x blocks here and its z blocks on the helper."""
 
     def test_nested_kernel_runs_inline(self, submits):
         # a lone run's per-block split, called inside both halves of another
@@ -736,36 +603,33 @@ class TestSplitValidation:
         runs = [None, None]
 
         def run(i):
-            runs[i] = powersim._slope_t_prefixes(
-                (300,), 0.4, SEED, np.arange(2_000), powersim._SLOPE_ROLES
-            )[0]
+            runs[i] = corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
 
         stochastics._split_items(2, run)
         assert submits == [("half", threading.get_ident())]
-        for t_vals in runs:
-            assert hashlib.sha256(t_vals.tobytes()).hexdigest() == KERNEL_PINS["slope"]
+        for t1 in runs:
+            assert sha256(t1) == KERNEL_PINS["corr"]
 
-    @pytest.mark.parametrize("side", ["caller", "helper"], ids=["x_block", "e_block"])
+    @pytest.mark.parametrize("side", ["caller", "helper"], ids=["x_block", "z_block"])
     def test_lone_run_block_error_reaches_the_caller(self, monkeypatch, side):
-        # a lone run draws x on this thread and e on the helper; either
-        # block raising on the second of three blocks fails the run with
-        # that same error and leaves the helper idle
+        # either block raising on the second of three blocks fails the run
+        # with that same error and leaves the helper idle
         caller = threading.get_ident()
-        real = powersim._stream_block
+        real = corroute._fill_block
         calls = []  # list.append is safe on the helper thread
         error = RuntimeError("block 2 failed")
 
-        def failing(gen, a, cuts, out):
+        def failing(gen, a, out):
             mine = (threading.get_ident() == caller) == (side == "caller")
             if mine:
                 calls.append(gen)
                 if len(calls) == 2:
                     raise error
-            real(gen, a, cuts, out)
+            real(gen, a, out)
 
-        monkeypatch.setattr(powersim, "_stream_block", failing)
+        monkeypatch.setattr(corroute, "_fill_block", failing)
         with pytest.raises(RuntimeError) as raised:
-            slope_t_batch(300, 0.4, SEED, np.arange(2_000))
+            corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
         assert raised.value is error
         assert len(calls) == 2
         stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
