@@ -6,7 +6,8 @@ sides alternating (ABAB, then BABA) so that drift of the host's speed falls
 on both:
 
   chisq       microseconds of CPU per 10,000 chi-square variates
-              (stochastics.chisq_array) at df 1, 29, 48 and 2400;
+              (stochastics.chisq_array) at df 1, 29, 48 and 2400, and per
+              call of 1,000 variates, the size of one slope run;
   critval     one full-fidelity request,
               `slopesize critval --n 30 --alpha 0.05 --method exact --seed 1`
               (10,000 x 1,000 draws), its CPU and wall seconds;
@@ -45,7 +46,9 @@ A lone correlation run's two streams and the exact-MC replicate loop are
 drawn on two threads, so their gains show in wall time.
 Each side's stdout of the commands (for corrmc, the hex powers) is recorded,
 and the script fails if the sides print different bytes: the change must
-leave seeded output as it was.
+leave seeded output as it was. A report whose sides differ keeps each
+side's stdout, so that a change of seeded output made by design can be read
+from it.
 
 Usage:
     python scripts/bench_critval.py --baseline OLD/src
@@ -83,6 +86,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = ROOT / "BENCH_critval.json"
 
 CHISQ_DFS = (1, 29, 48, 2400)
+CHISQ_RUN_SIZE = 1_000  # the chisq layer's second size: one slope run's variates per stream
+CHISQ_LAYERS = ("chisq_us_per_10k", "chisq_us_per_1k")
 CRITVAL_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", "--seed", "1"]
 SEARCH_ARGV = ["samplesize", "--route", "slope", "--lambda", "0.5", "--alpha", "0.05",
                "--power", "0.90", "--seed", "1"]
@@ -191,21 +196,29 @@ def scout_searches(sizes: dict) -> tuple[int, float, float, str]:
     return len(drawn), cpu, wall, out
 
 
-def measure(sizes: dict) -> dict:
-    """One measurement of every layer with the slopesize found on sys.path."""
-    from slopesize import cli, critvals, powersim
+def chisq_us(sizes: dict, size: int) -> dict:
+    """Least CPU microseconds per chisq_array call of size variates, per df."""
     from slopesize.stochastics import StreamKey, chisq_array
 
-    chisq = {}
+    best = {}
     for df in CHISQ_DFS:
-        best = float("inf")
+        per_call = []
         for _ in range(sizes["chisq_repeats"]):
             start = time.process_time()
             for k in range(sizes["chisq_keys"]):
-                chisq_array(StreamKey(1, k, 0), df, sizes["chisq_size"])
-            per_call = (time.process_time() - start) / sizes["chisq_keys"]
-            best = min(best, per_call * 1e6 * 10_000 / sizes["chisq_size"])
-        chisq[str(df)] = round(best, 1)
+                chisq_array(StreamKey(1, k, 0), df, size)
+            per_call.append((time.process_time() - start) / sizes["chisq_keys"] * 1e6)
+        best[str(df)] = min(per_call)
+    return best
+
+
+def measure(sizes: dict) -> dict:
+    """One measurement of every layer with the slopesize found on sys.path."""
+    from slopesize import cli, critvals, powersim
+
+    scale = 10_000 / sizes["chisq_size"]
+    chisq = {df: round(us * scale, 1) for df, us in chisq_us(sizes, sizes["chisq_size"]).items()}
+    chisq_run = {df: round(us, 1) for df, us in chisq_us(sizes, CHISQ_RUN_SIZE).items()}
 
     critval_s, critval_wall, critval_out = run_cli(cli, CRITVAL_ARGV + sizes["reps"])
 
@@ -238,6 +251,7 @@ def measure(sizes: dict) -> dict:
     scouts_runs, scouts_s, scouts_wall, scouts_out = scout_searches(sizes)
     return {
         "chisq_us_per_10k": chisq,
+        "chisq_us_per_1k": chisq_run,
         "critval_request_s": round(critval_s, 3),
         "critval_request_wall_s": round(critval_wall, 3),
         "search_cell_s": round(search_s, 3),
@@ -307,9 +321,9 @@ def compare(script: Path, baseline: Path | None, pairs: int, quick: bool):
     """Run `script --child` on this tree's src and, given one, on baseline.
 
     Each side runs once per pair in a fresh process, the sides alternating.
-    Returns the sides' src directories, each side's measurements, the stdout
-    of the last run and whether every run printed that same stdout; each
-    measurement's "stdout" key is taken out of it.
+    Returns the sides' src directories, each side's measurements, each
+    side's stdout per run and whether every run printed the same stdout;
+    each measurement's "stdout" key is taken out of it.
     """
     sides = {"after": ROOT / "src"}
     if baseline is not None:
@@ -320,15 +334,25 @@ def compare(script: Path, baseline: Path | None, pairs: int, quick: bool):
         for name in order:
             runs[name].append(_child(script, sides[name], quick))
             print(f"pair {pair + 1}/{pairs} {name} done", file=sys.stderr)
-    outputs = [r.pop("stdout") for side in runs.values() for r in side]
-    return sides, runs, outputs[-1], all(o == outputs[-1] for o in outputs)
+    outputs = {name: [r.pop("stdout") for r in side] for name, side in runs.items()}
+    last = outputs["after"][-1]
+    return sides, runs, outputs, all(o == last for side in outputs.values() for o in side)
 
 
-def finish(report: dict, sides: dict, runs: dict, median, change, out: Path) -> int:
-    """Add each side's runs and medians to report, write it and return the exit code."""
+def finish(report: dict, sides: dict, runs: dict, outputs: dict, median, change,
+           out: Path) -> int:
+    """Add each side's runs and medians to report, write it and return the exit code.
+
+    When the runs printed different stdout, each side's last stdout is kept
+    with it, and whether every run of that side printed the same.
+    """
     for name, src in sides.items():
         report[name] = {"commit": git_commit(src), "runs": runs[name],
                         "median": median(runs[name])}
+        if not report["outputs_identical"]:
+            report[name]["stdout"] = outputs[name][-1]
+            report[name]["stdout_same_in_every_run"] = all(
+                o == outputs[name][-1] for o in outputs[name])
     if "before" in report:
         report["change"] = change(report["before"]["median"], report["after"]["median"])
     out.write_text(json.dumps(report, indent=2) + "\n")
@@ -341,10 +365,8 @@ def finish(report: dict, sides: dict, runs: dict, median, change, out: Path) -> 
 
 def _median(runs: list[dict]) -> dict:
     return {
-        "chisq_us_per_10k": {
-            df: round(statistics.median(r["chisq_us_per_10k"][df] for r in runs), 1)
-            for df in runs[0]["chisq_us_per_10k"]
-        },
+        **{layer: {df: round(statistics.median(r[layer][df] for r in runs), 1)
+                   for df in runs[0][layer]} for layer in CHISQ_LAYERS},
         **{key: round(statistics.median(r[key] for r in runs), 3) for key in TIMES},
         **{key: round(statistics.median(r[key] for r in runs), 6) for key in HIT_TIMES},
         **{key: statistics.median(r[key] for r in runs) for key in (*COUNTS, "search_peak_rss_mb")},
@@ -356,8 +378,8 @@ def _change(before: dict, after: dict) -> dict:
         return round(b / a - 1.0, 3) if a else None
 
     return {
-        "chisq_us_per_10k": {df: rel(before["chisq_us_per_10k"][df], after["chisq_us_per_10k"][df])
-                             for df in before["chisq_us_per_10k"]},
+        **{layer: {df: rel(before[layer][df], after[layer][df]) for df in before[layer]}
+           for layer in CHISQ_LAYERS},
         **{key: rel(before[key], after[key])
            for key in (*TIMES, *HIT_TIMES, *COUNTS, "search_peak_rss_mb")},
     }
@@ -377,7 +399,7 @@ def main(argv=None) -> int:
         return 0
 
     pairs = 1 if args.quick else PAIRS
-    sides, runs, first, identical = compare(
+    sides, runs, outputs, identical = compare(
         Path(__file__).resolve(), args.baseline, pairs, args.quick)
     report = {
         "benchmark": "exact-MC critical values: chi-square sampler, one critval request, "
@@ -388,7 +410,8 @@ def main(argv=None) -> int:
         "timer": "time.process_time (CPU of all threads) of a fresh process per side and pair, "
                  "sides alternating; *_wall_s fields are time.perf_counter",
         "quick": args.quick,
-        "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS), "corrmc_cells": len(CORR_CELLS),
+        "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS), "chisq_run_size": CHISQ_RUN_SIZE,
+                  "corrmc_cells": len(CORR_CELLS),
                   "scout_cells": [list(cell) for cell in SCOUT_CELLS]},
         "commands": {"critval": "slopesize " + " ".join(CRITVAL_ARGV + sizes["reps"]),
                      "search": "slopesize " + " ".join(SEARCH_ARGV + sizes["reps"]),
@@ -406,10 +429,10 @@ def main(argv=None) -> int:
                   "levels": 1, "corrmc": 1, "clihit": 1,
                   "scouts": {"power": [seed for *_, seed in SCOUT_CELLS], "critval": 1}},
         "machine": machine(),
-        "stdout": first,
+        "stdout": outputs["after"][-1],
         "outputs_identical": identical,
     }
-    return finish(report, sides, runs, _median, _change, args.out)
+    return finish(report, sides, runs, outputs, _median, _change, args.out)
 
 
 if __name__ == "__main__":

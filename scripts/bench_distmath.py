@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         return 0
 
     pairs = 1 if args.quick else PAIRS
-    sides, runs, first, identical = compare(
+    sides, runs, outputs, identical = compare(
         Path(__file__).resolve(), args.baseline, pairs, args.quick)
     report = {
         "benchmark": "scalar t quantile: CPU per call, t_cdf calls per call, "
@@ -158,10 +158,10 @@ def main(argv=None) -> int:
                   "corr_search": "3 alpha x 6 lambda x 4 targets"},
         "commands": {name: "slopesize " + " ".join(argv) for name, argv in COMMANDS.items()},
         "machine": machine(),
-        "stdout": first,
+        "stdout": outputs["after"][-1],
         "outputs_identical": identical,
     }
-    return finish(report, sides, runs, _median, _change, args.out)
+    return finish(report, sides, runs, outputs, _median, _change, args.out)
 
 
 if __name__ == "__main__":

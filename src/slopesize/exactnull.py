@@ -8,6 +8,7 @@ of the four-factor ratio law
     T^2  ~  (n-2)/(n-1) * W1*W4 / (W2*W3)
 
 with independent W1 ~ chi2(1), W2 ~ chi2(n-1), W3 ~ chi2(n-2), W4 ~ chi2(n-1).
+W1 is drawn as Z^2 for a standard normal Z; W2-W4 by chisq_array.
 This law is free of every model parameter, but it is not the null law of T^2
 on data: it treats W2 and W4 as independent, while in data the slope error
 and the predictor-variance estimate share one S_XX, which cancels. Under
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stochastics import StreamKey, chisq_array
+from .stochastics import StreamKey, chisq_array, normal_array
 
 __all__ = [
     "ModelParams",
@@ -36,7 +37,7 @@ __all__ = [
     "expected_t2",
 ]
 
-# stream roles of the four chi-square factors
+# stream roles of the normal Z (W1 = Z^2) and the chi-square factors W2-W4
 _W1, _W2, _W3, _W4 = 0, 1, 2, 3
 
 
@@ -73,12 +74,15 @@ def t2_null_draws(key: StreamKey, n: int, size: int) -> np.ndarray:
     This is the law tabulated in the paper's Table 1, not the data null law
     (under which T * sqrt(n-1) ~ t(n-2)); see the module docstring.
 
-    The four chi-square factors come from stream roles 0-3 of the key's
-    (master_seed, task_id) pair; the key's own stream_id is ignored.
+    The factors come from stream roles 0-3 of the key's (master_seed,
+    task_id) pair: role 0 gives standard normals Z, squared into W1 ~ chi2(1),
+    and roles 1-3 give W2, W3 and W4 from chisq_array. The key's own
+    stream_id is ignored.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")
-    w1 = chisq_array(key.with_stream(_W1), 1, size)
+    w1 = normal_array(key.with_stream(_W1), size)
+    w1 *= w1
     w2 = chisq_array(key.with_stream(_W2), n - 1, size)
     w3 = chisq_array(key.with_stream(_W3), n - 2, size)
     w4 = chisq_array(key.with_stream(_W4), n - 1, size)

@@ -23,7 +23,8 @@ binds a new executor).
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
 
-    0-3       chi-square factors W1..W4 of the null T^2 ratio
+    0         standard normal Z of the null T^2 ratio, W1 = Z^2
+    1-3       chi-square factors W2..W4 of the null T^2 ratio
     100-101   not read (the predictor and noise blocks of the slope
               route's former data simulation)
     102       S_XX ~ chi2(n - 1) of a slope-power run (first task id)
@@ -39,9 +40,10 @@ Validation runs in the sample-size search shift task ids by
 VALIDATION_TASK_BASE. This separates them from simulate_power_slope runs at
 task 0.
 
-A chi-square stream is read in Marsaglia-Tsang rejection passes: each pass
-draws m normals, then m uniforms, for its m pending candidates in index
-order, and a candidate with 1 + c*z <= 0 is rejected (see _gamma_mt).
+A stream is read by numpy's Generator algorithms: standard_normal for
+normals and chisquare (its compiled gamma sampler) for chi-squares. So the
+seeded numbers depend on them; the bytes are pinned on numpy 2.4.6
+(tests/test_stochastics.py, TestSamplerBits).
 """
 
 from __future__ import annotations
@@ -146,52 +148,14 @@ def normal_array(key: StreamKey, size: int) -> np.ndarray:
     return generator(key).standard_normal(size)
 
 
-def _gamma_mt(gen: Generator, shape: float, size: int) -> np.ndarray:
-    """Gamma(shape, 1) by Marsaglia-Tsang rejection, one in-place pass per round.
-
-    Shapes below one are boosted through Gamma(shape + 1) * U^(1/shape), the
-    size uniforms drawn after the boosted gammas. Each pass draws m normals z,
-    then m uniforms u, for the m pending candidates in index order, and
-    accepts d*v, v = (1 + c*z)^3, iff log u < 0.5*z^2 + d - d*v + d*log v;
-    v <= 0 gives log v nan or -inf, so the test fails and v is rejected.
-    """
-    if shape < 1.0:
-        boosted = _gamma_mt(gen, shape + 1.0, size)
-        boosted *= gen.random(size) ** (1.0 / shape)
-        return boosted
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    zs, us, vs, bs = (np.empty(size) for _ in range(4))  # work buffers
-    oks = np.empty(size, dtype=bool)
-    pending = None  # the first pass covers every index and writes d*v into out
-    m = size
-    with np.errstate(invalid="ignore", divide="ignore"):
-        while m:
-            z, u, v, bound, ok = zs[:m], us[:m], vs[:m], bs[:m], oks[:m]
-            gen.standard_normal(out=z)
-            gen.random(out=u)
-            np.power(np.add(1.0, np.multiply(c, z, out=v), out=v), 3, out=v)
-            np.add(np.multiply(0.5, np.multiply(z, z, out=bound), out=bound), d, out=bound)
-            logv = np.log(v, out=z)
-            bound -= np.multiply(d, v, out=out if pending is None else v)
-            bound += np.multiply(d, logv, out=logv)
-            np.less(np.log(u, out=u), bound, out=ok)
-            if pending is None:
-                pending = np.flatnonzero(~ok)
-            else:
-                out[pending[ok]] = v[ok]
-                pending = pending[~ok]
-            m = pending.size
-    return out
-
-
 def chisq_array(key: StreamKey, df: int, size: int) -> np.ndarray:
-    """Vector of chi-square draws with df degrees of freedom."""
+    """Vector of chi-square draws with df degrees of freedom.
+
+    numpy's Generator.chisquare, which is 2 * standard_gamma(df / 2).
+    """
     if df != int(df) or df < 1:
         raise ValueError(f"df must be an integer >= 1, got {df!r}")
-    out = _gamma_mt(generator(key), 0.5 * int(df), size)
-    return np.multiply(2.0, out, out=out)
+    return generator(key).chisquare(int(df), size)
 
 
 def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:

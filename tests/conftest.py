@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import special
 
 from slopesize import corroute, critvals
 from slopesize.critvals import CriticalValueCache
@@ -23,6 +24,19 @@ def row_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         np.einsum("ij,ij->i", dx, dy),
         np.einsum("ij,ij->i", dy, dy),
     )
+
+
+def ratio_law_cdf(u: np.ndarray, n: int) -> np.ndarray:
+    """P(T^2 <= u) under the four-factor ratio law, by quadrature.
+
+    T^2 = F1 * V / (n-1) with independent F1 ~ F(1, n-2) and
+    V ~ F(n-1, n-1), so P(T^2 <= u) = E_V[F_{F(1,n-2)}((n-1) u / V)];
+    the expectation is a 128-node Gauss-Legendre sum over V's quantile
+    on (0, 1).
+    """
+    q, w = np.polynomial.legendre.leggauss(128)
+    v = special.fdtri(n - 1, n - 1, 0.5 * (q + 1.0))
+    return 0.5 * sum(wi * special.fdtr(1, n - 2, (n - 1) * u / vi) for vi, wi in zip(v, w))
 
 
 # -- reference fit: a two-pass least-squares fit of one sample, the oracle

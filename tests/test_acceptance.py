@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from slopesize.corroute import find_sample_size_corr, lambda_to_rho
 from slopesize.critvals import cached_critical_value, critical_value_normal
@@ -28,7 +28,7 @@ from slopesize.exactnull import expected_t2, t2_null_draws
 from slopesize.powersim import find_sample_size_slope, slope_t_batch
 from slopesize.stochastics import SimPlan, StreamKey
 
-from conftest import fit_slope_stats, row_moments
+from conftest import fit_slope_stats, ratio_law_cdf, row_moments
 
 SEED = 20260808
 
@@ -230,19 +230,6 @@ def test_criterion_08_contrast_claim(session_cache):
                 violations.append(f"(0.1,{alpha},{target}) not finite")
     report("criterion 8 (contrast claim)", not violations,
            "; ".join(violations) or f"60 cells within bound (worst gap/bound = {worst:.2f}), 6 low-effect cells finite")
-
-
-def ratio_law_cdf(u: np.ndarray, n: int) -> np.ndarray:
-    """P(T^2 <= u) under the four-factor ratio law, by quadrature.
-
-    T^2 = F1 * V / (n-1) with independent F1 ~ F(1, n-2) and
-    V ~ F(n-1, n-1), so P(T^2 <= u) = E_V[F_{F(1,n-2)}((n-1) u / V)];
-    the expectation is a 128-node Gauss-Legendre sum over V's quantile
-    on (0, 1).
-    """
-    q, w = np.polynomial.legendre.leggauss(128)
-    v = special.fdtri(n - 1, n - 1, 0.5 * (q + 1.0))
-    return 0.5 * sum(wi * special.fdtr(1, n - 2, (n - 1) * u / vi) for vi, wi in zip(v, w))
 
 
 def test_criterion_09_distributional_pipeline():

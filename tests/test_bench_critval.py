@@ -31,7 +31,7 @@ def test_quick_run_writes_every_key(tmp_path):
     assert len(corrmc) == 72 and all(line.startswith("n=") for line in corrmc)
     assert "before" not in report and "change" not in report
     (run,) = report["after"]["runs"]
-    assert set(run["chisq_us_per_10k"]) == {"1", "29", "48", "2400"}
+    assert set(run["chisq_us_per_10k"]) == set(run["chisq_us_per_1k"]) == {"1", "29", "48", "2400"}
     for key in ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
                 "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s",
                 "corrmc_s", "corrmc_wall_s", "clihit_s", "clihit_wall_s", "scouts_s",

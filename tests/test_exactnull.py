@@ -18,7 +18,7 @@ from slopesize.exactnull import (
 )
 from slopesize.stochastics import StreamKey
 
-from conftest import row_moments
+from conftest import ratio_law_cdf, row_moments
 
 SEED = 20260808
 PARAMS = ModelParams(beta0=0.0, beta1=0.0, mu_x=0.0, sigma_x=1.0, sigma_eps=1.0)
@@ -79,6 +79,12 @@ class TestT2NullDraws:
         # percentile of T^2 under this law is 0.326^2 = 0.1063
         draws = t2_null_draws(StreamKey(SEED, 2), 30, 10**6)
         assert np.quantile(draws, 0.90) == pytest.approx(0.326**2, abs=0.003)
+
+    @pytest.mark.parametrize("task, n", [(60, 5), (61, 30), (62, 300)])
+    def test_ks_against_ratio_law_cdf(self, task, n):
+        # W1 drawn as Z^2 gives the ratio law itself, not just equal bits
+        draws = t2_null_draws(StreamKey(SEED, task), n, 10**5)
+        assert stats.kstest(draws, lambda u: ratio_law_cdf(u, n)).pvalue > 1e-3
 
     def test_law_is_parameter_free(self):
         # the draw path takes no model parameters at all; identical keys

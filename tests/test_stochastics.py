@@ -106,10 +106,17 @@ class TestSampleChisq:
         assert abs(frac - 0.6826895) < 3 * se
 
     def test_df2_is_exponential(self):
-        # chi2_2 = -2 ln U exactly
+        # chi2_2 is exponential with mean 2 (numpy draws shape 1 as an exponential)
         draws = chisq_array(StreamKey(SEED, 13, 0), 2, 10**5)
         res = stats.kstest(draws, stats.chi2(2).cdf)
         assert res.pvalue > 0.01
+
+    @pytest.mark.parametrize("task, df", [(40, 1), (41, 2), (42, 3), (43, 29), (44, 2400)])
+    def test_ks_against_scipy_chi2(self, task, df):
+        # each of numpy's gamma paths (shape < 1, shape 1, Marsaglia-Tsang)
+        # against the chi-square CDF
+        draws = chisq_array(StreamKey(SEED, task, 0), df, 10**5)
+        assert stats.kstest(draws, stats.chi2(df).cdf).pvalue > 1e-3
 
     def test_additivity_in_distribution(self):
         a = chisq_array(StreamKey(SEED, 14, 0), 3, 10**5)
@@ -119,7 +126,8 @@ class TestSampleChisq:
         assert res.pvalue > 0.01
 
     def test_fractional_shape_boost_path(self):
-        # df=1 exercises the shape < 1 boost; check the full CDF
+        # df=1 is shape 1/2, below the shape-1 floor of Marsaglia-Tsang, so
+        # numpy takes its own rejection method; check the full CDF
         draws = chisq_array(StreamKey(SEED, 17, 0), 1, 10**5)
         res = stats.kstest(draws, stats.chi2(1).cdf)
         assert res.pvalue > 0.01
@@ -169,20 +177,21 @@ def _sha256(arr: np.ndarray) -> str:
 class TestSamplerBits:
     """Seeded sampler output, byte for byte.
 
-    Captured before the rejection pass was fused into in-place work buffers;
-    every cached critical value depends on these bytes. df 1 takes the
-    shape < 1 boost, df 2 is shape 1, where v <= 0 occurs and several passes
-    run.
+    Captured on numpy 2.4.6, with chi-squares from Generator.chisquare and
+    the ratio law's W1 drawn as Z^2; every cached critical value depends on
+    these bytes, and they move if numpy changes its gamma or normal
+    algorithm. df 1 is shape 1/2 (numpy's shape < 1 rejection), df 2 shape
+    1 (an exponential), and df 3, 29 and 2400 take Marsaglia-Tsang.
     """
 
     @pytest.mark.parametrize(
         "task, df, digest",
         [
-            (0, 1, "63e69d9cf7018d9f4cb393cc99615e199e7561a02dc7baba0b13b99506e3fa36"),
-            (1, 2, "de90ed5497fe0a9bfb94442d78b88dc35076009eeea307326887fa15f8617fc7"),
-            (2, 3, "449b809bd335c19b42aebaf102849cc37c9ebb0101819c0653b5b4e22dc33e0c"),
-            (3, 29, "60f33ece35c24c28047d4fcec7bc14e1a40f23c779e825647745a5d11cf68cba"),
-            (4, 2400, "4e345335f4d6e6682ae13827e49e6c9a5063ff3f710b1a6ad75bb5c129978d4e"),
+            (0, 1, "88e56cc67c43e382775aafd529dc751a2712887b39fb7099488287a37e69b1c0"),
+            (1, 2, "c1e4905e3d839a4504ca7fe05b67a3fee19c4f4065fec6d223a605f445e32c3d"),
+            (2, 3, "40ef99e4ffb1e6259df837362e8c33707786263e34ed706d8f2f4f56b321a34b"),
+            (3, 29, "82616c31e463d838f11a4504e5acf0590dc428ed64f83c487a417054aaf329e2"),
+            (4, 2400, "df7071e926d0f10a5e7a1a7adbd0456cd25d34f2ee56fd36b9f129ac528dc5f1"),
         ],
     )
     def test_chisq_array(self, task, df, digest):
@@ -190,17 +199,18 @@ class TestSamplerBits:
 
     def test_t2_null_draws(self):
         assert _sha256(t2_null_draws(StreamKey(SEED, 7), 30, 10_000)) == (
-            "3be11bf28ad21306f604924a9b04020071f670a531217e62236b5ad738c55a4f"
+            "a21c8d9b35f0f222ad643aaa6ad68a3efd56ca3f2712419ab840c22603d7b0eb"
         )
 
     def test_critical_value_mc(self):
         est = critical_value_mc(30, 0.05, SimPlan(10_000, 20, SEED))
-        assert est.value.hex() == "0x1.980f4c6b1188cp-2"
-        assert est.sd.hex() == "0x1.34414da5cc4cdp-8"
+        assert est.value.hex() == "0x1.98fe878096143p-2"
+        assert est.sd.hex() == "0x1.d82aae45d7990p-9"
 
     def test_v_nonpositive_is_rejected(self):
-        # shape 1 (df 2): c = 1/sqrt(6), so z < -sqrt(6) gives v <= 0; such
-        # a key must still yield only positive, finite draws
+        # this key's normals reach below -sqrt(6), where a Marsaglia-Tsang
+        # candidate at shape 1 (df 2, c = 1/sqrt(6)) would have v <= 0; its
+        # chi-square draws must still be positive and finite
         first_pass = generator(StreamKey(SEED, 1, 0)).standard_normal(100_000)
         assert first_pass.min() < -math.sqrt(6.0)
         draws = chisq_array(StreamKey(SEED, 1, 0), 2, 100_000)
