@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Speed of exact-MC critical values, the kernel and the search, before and after a change.
 
-Measures seven layers, each in a fresh process per side and pair, with the
+Measures eight layers, each in a fresh process per side and pair, with the
 sides alternating (ABAB, then BABA) so that drift of the host's speed falls
 on both:
 
   chisq       microseconds of CPU per 10,000 chi-square variates
               (stochastics.chisq_array) at df 1, 29, 48 and 2400, and per
               call of 1,000 variates, the size of one slope run;
+  streams     microseconds of CPU to open one keyed stream (one
+              stochastics.normal_array call of one variate, its StreamKey
+              built beforehand), and per slope run of 400 and of 1,000
+              trials (powersim.simulate_power_slope at n = 30, each run at
+              its own task base), the least over repeats;
   critval     one full-fidelity request,
               `slopesize critval --n 30 --alpha 0.05 --method exact --seed 1`
               (10,000 x 1,000 draws), its CPU and wall seconds;
@@ -88,6 +93,7 @@ DEFAULT_OUT = ROOT / "BENCH_critval.json"
 CHISQ_DFS = (1, 29, 48, 2400)
 CHISQ_RUN_SIZE = 1_000  # the chisq layer's second size: one slope run's variates per stream
 CHISQ_LAYERS = ("chisq_us_per_10k", "chisq_us_per_1k")
+STREAM_RUN_TRIALS = (400, 1_000)  # a slope run's trials: criterion 8's plan and the default
 CRITVAL_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", "--seed", "1"]
 SEARCH_ARGV = ["samplesize", "--route", "slope", "--lambda", "0.5", "--alpha", "0.05",
                "--power", "0.90", "--seed", "1"]
@@ -106,10 +112,12 @@ COUNTS = ("search_runs", "scouts_runs")  # validation runs drawn
 HIT_TIMES = ("clihit_s", "clihit_wall_s")  # sub-millisecond, so kept to the microsecond
 PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
-FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3, "reps": [],
+FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3,
+        "stream_keys": 2_000, "stream_runs": 200, "stream_repeats": 9, "reps": [],
         "corrmc_trials": 2_000, "clihit_calls": 200, "scouts_power": [1_000, 51],
         "scouts_critval": [10_000, 10]}
 QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
+         "stream_keys": 10, "stream_runs": 3, "stream_repeats": 1,
          "reps": ["--reps-inner", "200", "--reps-outer", "3"], "corrmc_trials": 100,
          "clihit_calls": 10, "scouts_power": [200, 3], "scouts_critval": [1_000, 3]}
 
@@ -212,6 +220,31 @@ def chisq_us(sizes: dict, size: int) -> dict:
     return best
 
 
+def streams_us(sizes: dict) -> dict:
+    """Least CPU microseconds to open one keyed stream, and per slope run of each
+    STREAM_RUN_TRIALS size. Each repeat times the three in turn, so that a slow
+    phase of the host falls on all of them."""
+    from slopesize.critvals import EXACT_MC, CriticalValueEstimate
+    from slopesize.powersim import simulate_power_slope
+    from slopesize.stochastics import StreamKey, normal_array
+
+    keys = [StreamKey(1, k, 0) for k in range(sizes["stream_keys"])]
+    c = CriticalValueEstimate(n=30, alpha=0.05, value=0.4, sd=0.0, method=EXACT_MC)
+    runs = sizes["stream_runs"]
+    work = {"open_us": (len(keys), lambda: [normal_array(key, 1) for key in keys])}
+    for trials in STREAM_RUN_TRIALS:
+        work[f"run_us_{trials}"] = (runs, lambda trials=trials: [
+            simulate_power_slope(30, 0.5, 0.05, c, trials, 1, task_base=k * trials)
+            for k in range(runs)])
+    best = {name: float("inf") for name in work}
+    for _ in range(sizes["stream_repeats"]):
+        for name, (calls, draw) in work.items():
+            start = time.process_time()
+            draw()
+            best[name] = min(best[name], (time.process_time() - start) / calls * 1e6)
+    return {name: round(us, 2) for name, us in best.items()}
+
+
 def measure(sizes: dict) -> dict:
     """One measurement of every layer with the slopesize found on sys.path."""
     from slopesize import cli, critvals, powersim
@@ -219,6 +252,7 @@ def measure(sizes: dict) -> dict:
     scale = 10_000 / sizes["chisq_size"]
     chisq = {df: round(us * scale, 1) for df, us in chisq_us(sizes, sizes["chisq_size"]).items()}
     chisq_run = {df: round(us, 1) for df, us in chisq_us(sizes, CHISQ_RUN_SIZE).items()}
+    streams = streams_us(sizes)
 
     critval_s, critval_wall, critval_out = run_cli(cli, CRITVAL_ARGV + sizes["reps"])
 
@@ -252,6 +286,7 @@ def measure(sizes: dict) -> dict:
     return {
         "chisq_us_per_10k": chisq,
         "chisq_us_per_1k": chisq_run,
+        "streams": streams,
         "critval_request_s": round(critval_s, 3),
         "critval_request_wall_s": round(critval_wall, 3),
         "search_cell_s": round(search_s, 3),
@@ -367,6 +402,8 @@ def _median(runs: list[dict]) -> dict:
     return {
         **{layer: {df: round(statistics.median(r[layer][df] for r in runs), 1)
                    for df in runs[0][layer]} for layer in CHISQ_LAYERS},
+        "streams": {key: round(statistics.median(r["streams"][key] for r in runs), 2)
+                    for key in runs[0]["streams"]},
         **{key: round(statistics.median(r[key] for r in runs), 3) for key in TIMES},
         **{key: round(statistics.median(r[key] for r in runs), 6) for key in HIT_TIMES},
         **{key: statistics.median(r[key] for r in runs) for key in (*COUNTS, "search_peak_rss_mb")},
@@ -380,6 +417,8 @@ def _change(before: dict, after: dict) -> dict:
     return {
         **{layer: {df: rel(before[layer][df], after[layer][df]) for df in before[layer]}
            for layer in CHISQ_LAYERS},
+        "streams": {key: rel(before["streams"][key], after["streams"][key])
+                    for key in before["streams"]},
         **{key: rel(before[key], after[key])
            for key in (*TIMES, *HIT_TIMES, *COUNTS, "search_peak_rss_mb")},
     }
@@ -402,7 +441,8 @@ def main(argv=None) -> int:
     sides, runs, outputs, identical = compare(
         Path(__file__).resolve(), args.baseline, pairs, args.quick)
     report = {
-        "benchmark": "exact-MC critical values: chi-square sampler, one critval request, "
+        "benchmark": "exact-MC critical values: chi-square sampler, keyed streams and slope "
+                     "runs, one critval request, "
                      "critical values inside one slope search, three levels at one n; "
                      "replicate kernel: corr_power_mc at the 72 table cells; "
                      "a memo-hit critval request in process; "
@@ -411,9 +451,13 @@ def main(argv=None) -> int:
                  "sides alternating; *_wall_s fields are time.perf_counter",
         "quick": args.quick,
         "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS), "chisq_run_size": CHISQ_RUN_SIZE,
+                  "stream_run_trials": list(STREAM_RUN_TRIALS),
                   "corrmc_cells": len(CORR_CELLS),
                   "scout_cells": [list(cell) for cell in SCOUT_CELLS]},
-        "commands": {"critval": "slopesize " + " ".join(CRITVAL_ARGV + sizes["reps"]),
+        "commands": {"streams": "stochastics.normal_array(StreamKey(1, k, 0), 1) per key; "
+                                "powersim.simulate_power_slope(30, 0.5, 0.05, c, trials, 1, "
+                                "task_base=k * trials) per run, c.value = 0.4",
+                     "critval": "slopesize " + " ".join(CRITVAL_ARGV + sizes["reps"]),
                      "search": "slopesize " + " ".join(SEARCH_ARGV + sizes["reps"]),
                      "levels": ["slopesize " + " ".join(argv + sizes["reps"])
                                 for argv in LEVELS_ARGV],
@@ -425,7 +469,10 @@ def main(argv=None) -> int:
                                "SimPlan(*scouts_power, seed), "
                                "critval_plan=SimPlan(*scouts_critval, 1)) "
                                "per cell (lam, alpha, target, seed) of scout_cells"},
-        "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys", "critval": 1, "search": 1,
+        "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys",
+                  "streams": "StreamKey(1, k, 0), k < stream_keys; slope runs at seed 1, "
+                             "task base k * trials, k < stream_runs",
+                  "critval": 1, "search": 1,
                   "levels": 1, "corrmc": 1, "clihit": 1,
                   "scouts": {"power": [seed for *_, seed in SCOUT_CELLS], "critval": 1}},
         "machine": machine(),

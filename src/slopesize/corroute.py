@@ -143,7 +143,7 @@ def corr_t1_batch(n: int, rho: float, master_seed: int, tasks) -> np.ndarray:
     """
     lam = rho_to_lambda(rho)
     tasks = _run_tasks(n, lam, tasks)
-    trials = tasks.size
+    trials = len(tasks)
     rows = max(1, _CHUNK_VARIATES // trials)
     x_gen = generator(StreamKey(master_seed, int(tasks[0]), _X_STREAM))
     z_gen = generator(StreamKey(master_seed, int(tasks[0]), _Z_STREAM))

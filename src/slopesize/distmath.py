@@ -131,23 +131,34 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+def _reg_inc_beta(a: float, b: float, x: float, x1m: float | None = None) -> float:
+    """Regularized incomplete beta I_x(a, b).
+
+    x1m, if given, is 1 - x to full relative accuracy (where x rounds
+    towards 1); the logs of x and 1 - x are then taken from it.
+    """
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    if x1m is None:
+        x1m = 1.0 - x
+        log_x, log_x1m = math.log(x), math.log1p(-x)
+    else:
+        log_x, log_x1m = math.log1p(-x1m), math.log(x1m)
+    front = math.exp(a * log_x + b * log_x1m - _log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, x1m) / b
 
 
 def t_cdf(x: float, df: int) -> float:
     """Student t CDF with integer degrees of freedom.
 
     Below the median with x^2 < df the value is 0.5 - I_{x^2/(df+x^2)}(1/2,
-    df/2) / 2, which cancels when small: its relative error is about 1e-16 / p.
+    df/2) / 2 while that is at least x^2 / (2 df), else the tail integral
+    I_{df/(df+x^2)}(df/2, 1/2) / 2, so a small value keeps its relative
+    accuracy.
     """
     df = _check_df(df)
     if not math.isfinite(x):
@@ -158,7 +169,13 @@ def t_cdf(x: float, df: int) -> float:
     if x2 < df:
         # near the center df / (df + x^2) rounds towards 1, so integrate from 0
         half = 0.5 * _reg_inc_beta(0.5, 0.5 * df, x2 / (df + x2))
-        return 0.5 + half if x > 0.0 else 0.5 - half
+        if x > 0.0:
+            return 0.5 + half
+        # 0.5 - half loses about 0.5 / (0.5 - half) ulps to cancellation, the
+        # tail integral about df / x^2 (1 - df / (df + x^2) cancels in it)
+        if 2.0 * df * (0.5 - half) >= x2:
+            return 0.5 - half
+        return 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
     tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x2))
     return 1.0 - tail if x > 0.0 else tail
 
@@ -174,9 +191,7 @@ def t_quantile(p: float, df: int) -> float:
     Either stops once that error is at most 1e-13 (relative to p below the
     median) or the step is below 1e-13 * |x|. Each CDF value narrows
     [lo, hi]; a step outside it is replaced by bisection, or by doubling
-    while the bracket is unbounded. Below the median the root is only as
-    good as t_cdf there (relative error about 1e-16 / p at x^2 < df); no
-    caller passes p < 0.5.
+    while the bracket is unbounded.
     """
     _check_prob(p)
     df = _check_df(df)

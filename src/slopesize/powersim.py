@@ -106,14 +106,18 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam must be finite, got {lam!r}")
 
 
-def _run_tasks(n: int, lam: float, tasks) -> np.ndarray:
-    """tasks as an int64 array, after checking one run's arguments.
+def _run_tasks(n: int, lam: float, tasks) -> range | np.ndarray:
+    """tasks as a range or an int64 array, after checking one run's arguments.
 
     Raises ValueError unless tasks is a nonempty range of consecutive task
-    ids, n is at least 4 and lam is finite.
+    ids, n is at least 4 and lam is finite. A range is checked in O(1).
     """
-    tasks = np.asarray(tasks, dtype=np.int64)
-    if tasks.ndim != 1 or tasks.size == 0 or np.any(np.diff(tasks) != 1):
+    if isinstance(tasks, range):
+        consecutive = len(tasks) > 0 and (len(tasks) == 1 or tasks.step == 1)
+    else:
+        tasks = np.asarray(tasks, dtype=np.int64)
+        consecutive = tasks.ndim == 1 and tasks.size > 0 and not np.any(np.diff(tasks) != 1)
+    if not consecutive:
         raise ValueError("tasks must be a nonempty range of consecutive task ids")
     _check_lam(lam)
     if n < 4:
@@ -121,22 +125,31 @@ def _run_tasks(n: int, lam: float, tasks) -> np.ndarray:
     return tasks
 
 
-def slope_t_batch(n: int, lam: float, master_seed: int, tasks: np.ndarray) -> np.ndarray:
+def slope_t_batch(n: int, lam: float, master_seed: int, tasks) -> np.ndarray:
     """t_slope values of one run, one per task id, from the law of T.
 
     Trial i is (lam * sqrt(S_i) + Z_i) / sqrt(W_i / (n - 2)) / sqrt(n - 1),
     with S = chisq_array(..., n - 1), W = chisq_array(..., n - 2) and Z =
     normal_array(...) read from the streams (master_seed, tasks[0], role)
-    of roles 102, 103 and 104. tasks must be consecutive, so runs with
-    disjoint task ranges are independent. n must be at least 4 and lam
-    finite (else ValueError).
+    of roles 102, 103 and 104. tasks (a range or an array) must be
+    consecutive, so runs with disjoint task ranges are independent. n must
+    be at least 4 and lam finite (else ValueError).
     """
     tasks = _run_tasks(n, lam, tasks)
+    trials = len(tasks)
     key = StreamKey(master_seed, int(tasks[0]))
-    s = chisq_array(key.with_stream(_S_STREAM), n - 1, tasks.size)
-    w = chisq_array(key.with_stream(_W_STREAM), n - 2, tasks.size)
-    z = normal_array(key.with_stream(_Z_STREAM), tasks.size)
-    return (lam * np.sqrt(s) + z) / np.sqrt(w / (n - 2)) / math.sqrt(n - 1)
+    s = chisq_array(key.with_stream(_S_STREAM), n - 1, trials)
+    w = chisq_array(key.with_stream(_W_STREAM), n - 2, trials)
+    z = normal_array(key.with_stream(_Z_STREAM), trials)
+    # (lam * sqrt(s) + z) / sqrt(w / (n - 2)) / sqrt(n - 1), in place
+    np.sqrt(s, out=s)
+    s *= lam
+    s += z
+    w /= n - 2
+    np.sqrt(w, out=w)
+    s /= w
+    s /= math.sqrt(n - 1)
+    return s
 
 
 def check_slope_power_args(n: int, lam: float) -> None:
@@ -167,8 +180,7 @@ def simulate_power_slope(
     check_slope_power_args(n, lam)
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps!r}")
-    tasks = np.arange(task_base, task_base + reps, dtype=np.int64)
-    t_vals = slope_t_batch(n, lam, master_seed, tasks)
+    t_vals = slope_t_batch(n, lam, master_seed, range(task_base, task_base + reps))
     power = float(np.count_nonzero(np.abs(t_vals) > c.value)) / reps
     sd = math.sqrt(power * (1.0 - power) / reps)
     return PowerEstimate(n=n, alpha=alpha, lam=lam, power=power, sd=sd)
@@ -215,7 +227,7 @@ class _SlopeSearch:
         powers = self._powers.setdefault(n, [])
         for v in range(len(powers), runs):
             base = VALIDATION_TASK_BASE + v * trials
-            tasks = np.arange(base, base + trials, dtype=np.int64)
+            tasks = range(base, base + trials)
             t_vals = slope_t_batch(n, self.lam, self.plan.master_seed, tasks)
             powers.append(np.count_nonzero(np.abs(t_vals) > c) / trials)
         head = np.array(powers[:runs])

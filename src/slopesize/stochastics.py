@@ -10,7 +10,18 @@ correlation route, one column of each block) per trial; a correlation run
 reads its blocks a bounded number of rows at a time, a number that depends
 only on the trial count. So results are bit-identical for a given plan
 regardless of the order in which runs are evaluated or the thread that draws
-them. The package's one helper thread (_helper) is reached only through
+them.
+
+A one-shot draw (normal_array, chisq_array) re-keys its thread's own Philox
+to the key's position and reads the whole vector at once, so it gives the
+same bytes as a fresh generator(key) without building one. Each thread builds
+its bit generator at its first one-shot draw and keeps it. A one-shot draw is
+not reentrant on its thread: code run between the re-keying and the draw (a
+signal handler, say) must not make another one, and nothing in the package
+does. A stream held open across calls, such as a correlation run's blocks,
+comes from generator(key), which the caller owns.
+
+The package's one helper thread (_helper) is reached only through
 _split_items, which gives the caller the even items of a loop and the helper
 the odd ones, each item drawn whole on its thread. It serves the outer
 replicates of an exact-MC miss and the two blocks of each step of a lone
@@ -123,12 +134,52 @@ class SimPlan:
 
 
 def generator(key: StreamKey) -> Generator:
-    """Fresh Generator positioned at the key's block of the Philox counter space."""
+    """Fresh Generator positioned at the key's block of the Philox counter space.
+
+    The caller owns it, so it suits a stream read in parts across calls or
+    threads. A vector drawn in one call is cheaper from normal_array or
+    chisq_array, which re-key a Philox the thread keeps.
+    """
     bit_gen = Philox(
         key=np.array([key.master_seed, key.task_id], dtype=np.uint64),
         counter=np.array([0, 0, key.stream_id, 0], dtype=np.uint64),
     )
     return Generator(bit_gen)
+
+
+# this thread's Philox for one-shot draws, built at its first one
+_thread_bits = threading.local()
+
+
+def _rekeyed(key: StreamKey) -> Generator:
+    """This thread's Generator, re-keyed to the state of a fresh generator(key).
+
+    The state written is a new Philox's: key (master_seed, task_id), counter
+    (0, 0, stream_id, 0), an empty buffer and no spare 32-bit half, whatever
+    the last draw left. It reads the key's stream until the thread's next
+    call re-keys it.
+    """
+    try:
+        bit_gen, gen, state, key_words, counter = _thread_bits.stream
+    except AttributeError:
+        bit_gen = Philox(key=0)
+        gen = Generator(bit_gen)
+        key_words = np.zeros(2, dtype=np.uint64)
+        counter = np.zeros(4, dtype=np.uint64)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": key_words},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _thread_bits.stream = bit_gen, gen, state, key_words, counter
+    key_words[0] = key.master_seed
+    key_words[1] = key.task_id
+    counter[2] = key.stream_id
+    bit_gen.state = state
+    return gen
 
 
 def normal_matrix(master_seed: int, tasks, stream_id: int, n: int) -> np.ndarray:
@@ -144,18 +195,24 @@ def normal_matrix(master_seed: int, tasks, stream_id: int, n: int) -> np.ndarray
 
 
 def normal_array(key: StreamKey, size: int) -> np.ndarray:
-    """Vector of standard normal draws from the key's stream."""
-    return generator(key).standard_normal(size)
+    """Vector of standard normal draws from the start of the key's stream.
+
+    The bytes of generator(key).standard_normal(size), drawn by re-keying
+    the thread's own Philox; not reentrant on one thread (module docstring).
+    """
+    return _rekeyed(key).standard_normal(size)
 
 
 def chisq_array(key: StreamKey, df: int, size: int) -> np.ndarray:
     """Vector of chi-square draws with df degrees of freedom.
 
-    numpy's Generator.chisquare, which is 2 * standard_gamma(df / 2).
+    numpy's Generator.chisquare, which is 2 * standard_gamma(df / 2): the
+    bytes of generator(key).chisquare(df, size), drawn by re-keying the
+    thread's own Philox; not reentrant on one thread (module docstring).
     """
     if df != int(df) or df < 1:
         raise ValueError(f"df must be an integer >= 1, got {df!r}")
-    return generator(key).chisquare(int(df), size)
+    return _rekeyed(key).chisquare(int(df), size)
 
 
 def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:

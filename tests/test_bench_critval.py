@@ -32,6 +32,9 @@ def test_quick_run_writes_every_key(tmp_path):
     assert "before" not in report and "change" not in report
     (run,) = report["after"]["runs"]
     assert set(run["chisq_us_per_10k"]) == set(run["chisq_us_per_1k"]) == {"1", "29", "48", "2400"}
+    assert set(run["streams"]) == set(report["after"]["median"]["streams"]) == {
+        "open_us", "run_us_400", "run_us_1000"}
+    assert all(us > 0.0 for us in run["streams"].values())
     for key in ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
                 "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s",
                 "corrmc_s", "corrmc_wall_s", "clihit_s", "clihit_wall_s", "scouts_s",

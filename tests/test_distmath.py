@@ -141,6 +141,17 @@ class TestTCdf:
         # true value 2.5069e-7; a CDF that rounds near 0 puts it below zero
         assert t_quantile(0.5000001, 2400) == pytest.approx(2.506889394e-7, rel=1e-8)
 
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 100, 1_000, 10**4, 10**5])
+    def test_lower_tail_relative_to_scipy(self, df):
+        # at x^2 < df, 0.5 - I(1/2, df/2) / 2 lost all digits of a value
+        # below 1e-16; the bound leaves room for log B's lgamma cancellation
+        # (2.7e-11 relative at df 10^4)
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for k in range(1, 101):
+            x = float(scipy_stats.t.ppf(10.0**-k, df))
+            want = float(scipy_stats.t.cdf(x, df))
+            assert abs(t_cdf(x, df) / want - 1.0) <= 1e-10, (k, x)
+
     @pytest.mark.parametrize("df", [19_999, 20_000, 10**6, 10**7, 10**8, 10**9])
     def test_accurate_at_huge_df(self, df):
         # lgamma(df / 2) - lgamma(df / 2 + 1/2) cancelled to 2.7e-7 at
@@ -206,10 +217,11 @@ class TestTQuantile:
                     # and by 1e-8 at p = 1 - 1e-9
                     assert x == pytest.approx(float(scipy_stats.t.ppf(p, df)), rel=1e-7)
 
-    @pytest.mark.parametrize("df", [1, 2, 5, 30])
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 100, 1_000, 10**5])
     @pytest.mark.parametrize("p", [1e-10, 1e-17])
     def test_lower_tail_relative_to_p(self, p, df):
-        # reflecting through 1 - p would round p away (1 - 1e-17 == 1.0)
+        # reflecting through 1 - p would round p away (1 - 1e-17 == 1.0),
+        # and at x^2 < df so would 0.5 - I(1/2, df/2) / 2
         assert abs(t_cdf(t_quantile(p, df), df) / p - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("df", [1, 3, 28, 598, 2400])

@@ -399,6 +399,22 @@ class TestSlopeTBatch:
             with pytest.raises(ValueError, match="consecutive"):
                 slope_t_batch(10, 0.3, SEED, tasks)
 
+    @pytest.mark.parametrize("first", [0, VALIDATION_TASK_BASE + 7 * 400])
+    def test_range_and_array_of_tasks_give_the_same_bytes(self, first):
+        # validation runs pass a range, which is checked without an array
+        tasks = range(first, first + 400)
+        assert slope_t_batch(25, 0.6, SEED, tasks).tobytes() == slope_t_batch(
+            25, 0.6, SEED, np.arange(first, first + 400, dtype=np.int64)
+        ).tobytes()
+
+    @pytest.mark.parametrize("tasks", [range(0), range(9, 9), range(0, 10, 2), range(5, 2, -1)])
+    def test_bad_range_raises_as_its_array_does(self, tasks):
+        with pytest.raises(ValueError) as from_array:
+            slope_t_batch(10, 0.3, SEED, np.array(list(tasks), dtype=np.int64))
+        with pytest.raises(ValueError) as from_range:
+            slope_t_batch(10, 0.3, SEED, tasks)
+        assert str(from_range.value) == str(from_array.value)
+
     def test_split_tasks_are_separate_runs(self):
         # each part of a split task range is its own run, keyed by its first
         # task id: its values come from its own streams, not from the tail

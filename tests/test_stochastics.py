@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from slopesize.stochastics import (
     SimPlan,
     StreamKey,
     _quantile_sorted,
+    _rekeyed,
+    _split_items,
     chisq_array,
     generator,
     normal_array,
@@ -170,6 +173,66 @@ class TestGeneratorContract:
         assert np.array_equal(g2.standard_normal(3), normal_array(key, 3))
 
 
+# keys at the corners of the key space and two the package uses
+REKEY_KEYS = [
+    StreamKey(0, 0, 0),
+    StreamKey(SEED, 21, 5),
+    StreamKey(SEED, (1 << 40) + 999, 104),
+    StreamKey(2**64 - 1, 2**64 - 1, 2**32 - 1),
+    StreamKey(2**63, 1, 2**31),
+]
+
+
+def _fresh(key: StreamKey) -> np.random.Generator:
+    """A new generator at the key, built without the package's helpers."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([key.master_seed, key.task_id], dtype=np.uint64),
+        counter=np.array([0, 0, key.stream_id, 0], dtype=np.uint64),
+    ))
+
+
+class TestRekeyedStreams:
+    """One-shot draws re-key the thread's own Philox; the bytes are a fresh generator's."""
+
+    @pytest.mark.parametrize("key", REKEY_KEYS)
+    def test_same_bytes_as_a_fresh_generator(self, key):
+        assert normal_array(key, 1_001).tobytes() == _fresh(key).standard_normal(1_001).tobytes()
+        for df in (1, 2, 29):
+            assert chisq_array(key, df, 1_001).tobytes() == (
+                _fresh(key).chisquare(df, 1_001).tobytes()
+            )
+
+    @pytest.mark.parametrize("key", REKEY_KEYS)
+    def test_same_bytes_after_a_part_used_buffer(self, key):
+        # an odd-length draw leaves part of Philox's four-word buffer unread
+        gen = _rekeyed(StreamKey(SEED, 3, 0))
+        gen.standard_normal(3)
+        assert 0 < gen.bit_generator.state["buffer_pos"] < 4
+        assert normal_array(key, 64).tobytes() == _fresh(key).standard_normal(64).tobytes()
+        # a 32-bit draw keeps the other half of its word for the next one
+        gen = _rekeyed(StreamKey(SEED, 4, 0))
+        gen.random(dtype=np.float32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        assert chisq_array(key, 3, 64).tobytes() == _fresh(key).chisquare(3, 64).tobytes()
+
+    def test_draws_on_two_threads_equal_serial_draws(self):
+        def draw(i: int) -> bytes:
+            key = StreamKey(SEED, 1_000 + i, 102)
+            return normal_array(key, 50 + i).tobytes() + chisq_array(key, 1 + i % 5, 50).tobytes()
+
+        serial = [draw(i) for i in range(64)]
+        split: list = [None] * 64
+        threads: set[int] = set()
+
+        def work(i: int) -> None:
+            threads.add(threading.get_ident())
+            split[i] = draw(i)
+
+        _split_items(64, work)
+        assert len(threads) == 2
+        assert split == serial
+
+
 def _sha256(arr: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
@@ -217,19 +280,15 @@ class TestSamplerBits:
         assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
 
 
-def _submit_callers() -> set[tuple[str, str]]:
-    """(module, innermost enclosing function) of every `.submit(` call in the package."""
+def _package_sites(matches) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every AST node in the package that matches."""
     found = set()
     for path in sorted(Path(slopesize.__file__).parent.glob("*.py")):
 
         def visit(node, function):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 function = node.name
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit"
-            ):
+            if matches(node):
                 found.add((path.stem, function))
             for child in ast.iter_child_nodes(node):
                 visit(child, function)
@@ -238,6 +297,30 @@ def _submit_callers() -> set[tuple[str, str]]:
     return found
 
 
+def _calls(name: str):
+    """Matches a call of name, bare or as an attribute."""
+
+    def matches(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name
+
+    return matches
+
+
+def _sets_state(node) -> bool:
+    """Matches an assignment to some object's .state (a bit generator's re-keying)."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Attribute) and t.attr == "state" for t in targets)
+
+
 def test_only_split_items_submits_to_the_helper():
     # the helper thread has one way in, so a nested split can run inline
-    assert _submit_callers() == {("stochastics", "_split_items")}
+    assert _package_sites(_calls("submit")) == {("stochastics", "_split_items")}
+
+
+def test_only_stochastics_builds_or_rekeys_bit_generators():
+    # the streams' keying and the thread's re-keyed Philox live in one module
+    for matches in (_calls("Philox"), _calls("Generator"), _sets_state):
+        assert {module for module, _ in _package_sites(matches)} == {"stochastics"}
