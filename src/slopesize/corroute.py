@@ -134,12 +134,12 @@ def corr_t1_batch(n: int, rho: float, master_seed: int, tasks) -> np.ndarray:
     degenerate replicate raises SearchFailureError.
 
     Each block is two items of stochastics._split_items, the x block and
-    its sums (item 0) and the z block and its sums (item 1): called on its
-    own, the run draws x on this thread and z on the helper, and numpy
-    releases the GIL while it fills normals; called inside a split's half,
-    it draws both on its own thread. Each stream is read by one thread in
-    the same order and block shapes, so the values are bit-identical either
-    way. An error raised while drawing either block reaches the caller.
+    its sums (item 0) and the z block and its sums (item 1): the run draws x
+    on this thread and z on a helper thread started for that block, and
+    numpy releases the GIL while it fills normals. Each stream is read by
+    one thread in the same order and block shapes, so the values are
+    bit-identical wherever the run is called from. An error raised while
+    drawing either block reaches the caller.
     """
     lam = rho_to_lambda(rho)
     tasks = _run_tasks(n, lam, tasks)
@@ -184,7 +184,7 @@ def corr_power_mc(n: int, rho: float, alpha: float, plan: SimPlan) -> PowerEstim
     _check_power_args(n, rho, alpha)
     crit = t_quantile(1.0 - 0.5 * alpha, n - 2)
     reps = plan.reps_inner
-    t1 = corr_t1_batch(n, rho, plan.master_seed, np.arange(reps))
+    t1 = corr_t1_batch(n, rho, plan.master_seed, range(reps))
     power = float(np.count_nonzero(np.abs(t1) > crit)) / reps
     sd = math.sqrt(power * (1.0 - power) / reps)
     return PowerEstimate(n=n, alpha=alpha, lam=rho_to_lambda(rho), power=power, sd=sd)

@@ -20,11 +20,11 @@ master_seed), which is parsed afresh on every lookup, then the process's one
 in-process store (_MC_MEMO, keyed by (n, alpha, plan)), and only then draws.
 A draw also estimates the paper's three levels (TABLE1_LEVELS), so one set
 of draws at (n, plan) serves every level. The outer replicates are the items
-of a stochastics._split_items call: the caller draws the even ones and the
-package's helper thread the odd ones, unless the call is made inside another
-split's half, where it draws them all inline. Each replicate reads only its own keyed streams, so the split moves
-no bit. The memo lives only as long as the process, so it
-can never be stale; the file carries values across processes.
+of a stochastics._split_items call: the caller draws the even ones and a
+helper thread, started and joined by that call, the odd ones. Each replicate
+reads only its own keyed streams, so the split moves no bit. The memo lives
+only as long as the process, so it can never be stale; the file carries
+values across processes.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ def critical_values_mc_multi(
     (n, alpha, plan). If any level is in neither, the replicate loop runs
     once for those levels together with TABLE1_LEVELS and every estimate it
     makes is kept. Each asked level the file lacked is then appended to it.
-    The helper thread draws the odd replicates. If either half raises, the
-    other stops at its next replicate and the first error is raised; nothing
-    is kept or appended (see stochastics._split_items).
+    A helper thread started for the draw takes the odd replicates and has
+    ended when this returns. If either half raises, the other stops at its
+    next replicate and the first error is raised; nothing is kept or
+    appended (see stochastics._split_items).
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")

@@ -158,7 +158,8 @@ def t_cdf(x: float, df: int) -> float:
     Below the median with x^2 < df the value is 0.5 - I_{x^2/(df+x^2)}(1/2,
     df/2) / 2 while that is at least x^2 / (2 df), else the tail integral
     I_{df/(df+x^2)}(df/2, 1/2) / 2, so a small value keeps its relative
-    accuracy.
+    accuracy. Where x^2 overflows, the tail integral is its leading term
+    (sqrt(df) / |x|)^df / (df B(df/2, 1/2)), taken from |x|.
     """
     df = _check_df(df)
     if not math.isfinite(x):
@@ -176,7 +177,12 @@ def t_cdf(x: float, df: int) -> float:
         if 2.0 * df * (0.5 - half) >= x2:
             return 0.5 - half
         return 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
-    tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x2))
+    if x2 == math.inf:
+        # y = df / x^2 is below df * 6e-309, so I_y(df/2, 1/2) is its leading
+        # term y^(df/2) / ((df/2) B(df/2, 1/2)) to far below an ulp
+        tail = (math.sqrt(df) / abs(x)) ** df / (df * math.exp(_log_beta(0.5 * df, 0.5)))
+    else:
+        tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x2))
     return 1.0 - tail if x > 0.0 else tail
 
 
@@ -187,11 +193,13 @@ def t_quantile(p: float, df: int) -> float:
     expansion around the normal quantile, and stays on p's side of 0: a p
     below the median is solved on the lower tail itself, since 1 - p would
     round it away. Above the median Newton runs on t_cdf(x) - p; below it,
-    on log(t_cdf(x) / p) against log|x|, which is exact on a power-law tail.
-    Either stops once that error is at most 1e-13 (relative to p below the
-    median) or the step is below 1e-13 * |x|. Each CDF value narrows
-    [lo, hi]; a step outside it is replaced by bisection, or by doubling
-    while the bracket is unbounded.
+    on log(t_cdf(x) / p) against log|x|, which is exact on a power-law tail;
+    where the density underflows, the tail is that power law and the slope
+    is -df. Either stops once that error is at most 1e-13 (relative to p
+    below the median) or the step is below 1e-13 * |x|. Each CDF value
+    narrows [lo, hi]; a step outside it is replaced by bisection, or by
+    doubling while the bracket is unbounded, unless x has already met the
+    tolerance, which returns x.
     """
     _check_prob(p)
     df = _check_df(df)
@@ -218,14 +226,18 @@ def t_quantile(p: float, df: int) -> float:
         else:
             hi = x
         dens = math.exp(-0.5 * (df + 1.0) * math.log1p(x * x / df) - log_norm)
-        if not (dens > 0.0 and math.isfinite(err)):
+        if not math.isfinite(err):
             step = math.nan
         elif upper:
-            step = x - err / dens
+            step = x - err / dens if dens > 0.0 else math.nan
         else:
-            # capped below overflow; a step that leaves the bracket is replaced
-            step = x * math.exp(min(err * cdf / (dens * -x), 700.0))
+            # capped below overflow; a step that leaves the bracket is replaced.
+            # Where the density underflows, t_cdf = dens * |x| / df (a power law)
+            log_step = err * cdf / (dens * -x) if dens > 0.0 else err / df
+            step = x * math.exp(min(log_step, 700.0))
         if not (math.isfinite(step) and lo <= step <= hi):
+            if abs(err) <= 1e-13:
+                return x
             step = 0.5 * (lo + hi) if math.isfinite(lo + hi) else 2.0 * x
         if abs(err) <= 1e-13 or abs(step - x) <= 1e-13 * abs(x):
             return step

@@ -21,15 +21,15 @@ signal handler, say) must not make another one, and nothing in the package
 does. A stream held open across calls, such as a correlation run's blocks,
 comes from generator(key), which the caller owns.
 
-The package's one helper thread (_helper) is reached only through
-_split_items, which gives the caller the even items of a loop and the helper
-the odd ones, each item drawn whole on its thread. It serves the outer
-replicates of an exact-MC miss and the two blocks of each step of a lone
-correlation run; a split called inside a split's half runs all its items
-inline. So each generator is read by one thread, in the same order and block
-shapes, and each result is written by one thread, so no value depends on
-which thread draws it. A forked child gets its own helper (an at-fork hook
-binds a new executor).
+The package starts a thread only in _split_items, which gives the caller the
+even items of a loop and a helper thread, started for that call and joined
+before it returns, the odd ones, each item drawn whole on its thread. It
+serves the outer replicates of an exact-MC miss and the two blocks of each
+step of a lone correlation run. So each generator is read by one thread, in
+the same order and block shapes, and each result is written by one thread,
+so no value depends on which thread draws it. No package thread outlives a
+split, so a split nested in another's half and a forked child need no
+special case.
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
@@ -60,9 +60,7 @@ seeded numbers depend on them; the bytes are pinned on numpy 2.4.6
 from __future__ import annotations
 
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,45 +228,23 @@ def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[i] + frac * (sorted_values[i + 1] - sorted_values[i]))
 
 
-# the package's one helper thread, reached only through _split_items; an
-# executor starts its thread at its first submit, so importing the package
-# starts no thread
-def _start_helper() -> None:
-    global _helper_pool
-    _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slopesize-helper")
-
-
-def _helper() -> ThreadPoolExecutor:
-    """The helper thread's executor."""
-    return _helper_pool
-
-
-class _SplitFlag(threading.local):
-    # true on a thread while it draws its half of a _split_items call
-    active = False
-
-
-_split_flag = _SplitFlag()
-
-
 def _split_items(count: int, work) -> None:
     """Call work(i) for each i in range(count) on two threads.
 
-    The caller takes the even i and the helper thread the odd ones, each in
-    ascending order. If either half raises, the other stops at its next item
-    and the first error is raised once both have stopped; work must then
-    have kept nothing that outlives the call. A lone item, or a call made
-    inside either half of another split, runs every item on the calling
-    thread, so the helper never waits on itself.
+    The caller takes the even i and a helper thread, started for this call,
+    the odd ones, each in ascending order; the helper has ended when the
+    call returns or raises. If either half raises, the other stops at its
+    next item and the first error is raised once both have stopped; work
+    must then have kept nothing that outlives the call. A lone item runs on
+    the calling thread; a split made inside a half starts its own helper.
     """
-    if count < 2 or _split_flag.active:
+    if count < 2:
         for i in range(count):
             work(i)
         return
     errors: list[BaseException] = []  # re-raised below, the first one
 
     def half(first: int) -> None:
-        _split_flag.active = True
         try:
             for i in range(first, count, 2):
                 if errors:
@@ -276,17 +252,10 @@ def _split_items(count: int, work) -> None:
                 work(i)
         except BaseException as exc:
             errors.append(exc)
-        finally:
-            _split_flag.active = False
 
-    odd = _helper().submit(half, 1)
+    odd = threading.Thread(target=half, args=(1,), name="slopesize-helper")
+    odd.start()
     half(0)
-    odd.result()
+    odd.join()
     if errors:
         raise errors[0]
-
-
-_start_helper()
-# a forked child has no copy of the parent's helper thread, and work queued
-# on the parent's executor would wait forever; bind a new one
-os.register_at_fork(after_in_child=_start_helper)

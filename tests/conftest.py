@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,12 @@ def run_reference_t1(master_seed: int, n: int, rho: float, first_task: int, tria
     z = generator(StreamKey(master_seed, first_task, 201)).standard_normal((n, trials))
     y = rho * x + math.sqrt(1.0 - rho * rho) * z
     return np.array([fit_slope_stats(x[:, i], y[:, i]).t_corr for i in range(trials)])
+
+
+def assert_no_helper_alive() -> None:
+    """No helper thread started by stochastics._split_items is still running."""
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("slopesize-helper")]
+    assert not alive, f"helper threads outlived their split: {alive}"
 
 
 @pytest.fixture(autouse=True)

@@ -17,7 +17,8 @@ import threading
 import numpy as np
 import pytest
 
-from slopesize import cli, critvals, stochastics
+from conftest import assert_no_helper_alive
+from slopesize import cli, critvals
 from slopesize.critvals import (
     EXACT_MC,
     NORMAL_APPROX,
@@ -245,7 +246,7 @@ class TestSplitReplicates:
             critical_value_mc(25, 0.05, SMALL)
         assert not [key for key in critvals._MC_MEMO if key[0] == 25 and key[2] == SMALL]
         monkeypatch.setattr(critvals, "t2_null_draws", real)
-        stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
+        assert_no_helper_alive()
         est = critical_value_mc(25, 0.05, SMALL)
         assert hex_pairs([est]) == serial_hex(25, [0.05], SMALL)
 

@@ -115,6 +115,13 @@ class TestTCdf:
         # df=1 is Cauchy: F(1) = 3/4
         assert t_cdf(1.0, 1) == pytest.approx(0.75, abs=1e-12)
 
+    def test_cauchy_far_lower_tail(self):
+        # F(x) = atan(1 / |x|) / pi below 0; past |x| = 1.3e154 x^2
+        # overflows, where the tail was once 0
+        for k in range(3081):
+            x = -(10.0 ** (k / 10))
+            assert abs(t_cdf(x, 1) / (math.atan(1.0 / -x) / math.pi) - 1.0) <= 1e-13, x
+
     def test_spot_value(self):
         # scipy: 0.9633059826146297
         assert t_cdf(2.0, 10) == pytest.approx(0.963306, abs=1e-6)
@@ -223,6 +230,23 @@ class TestTQuantile:
         # reflecting through 1 - p would round p away (1 - 1e-17 == 1.0),
         # and at x^2 < df so would 0.5 - I(1/2, df/2) / 2
         assert abs(t_cdf(t_quantile(p, df), df) / p - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("df", range(1, 16))
+    def test_round_trip_down_to_1e_300(self, df):
+        # far down the lower tail t_cdf's x^2 overflows and the density
+        # underflows; at df 2, p = 1e-220 gave twice the quantile, and at
+        # df 1, p = 1e-300 did not converge
+        for k in range(1, 301):
+            for p in (10.0**-k, 0.37 * 10.0**-k):
+                x = t_quantile(p, df)
+                if math.isfinite(x):
+                    assert abs(t_cdf(x, df) / p - 1.0) <= 1e-12, (p, x)
+
+    def test_df_2_far_lower_tail(self):
+        for k in range(1, 301):
+            p = 10.0**-k
+            want = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+            assert t_quantile(p, 2) == pytest.approx(want, rel=1e-12), p
 
     @pytest.mark.parametrize("df", [1, 3, 28, 598, 2400])
     def test_lower_tail_mirrors_upper(self, df):

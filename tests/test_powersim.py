@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from conftest import (
+    assert_no_helper_alive,
     DegenerateXError,
     FitError,
     PerfectFitError,
@@ -90,6 +91,9 @@ def sha256(values: np.ndarray) -> str:
 
 # a small exact-MC plan: its seven replicates are split across both threads
 FORK_CV_PLAN = SimPlan(reps_inner=1_000, reps_outer=7, master_seed=SEED)
+
+# first task ids of a run at task 0 and of a validation run
+FIRST_TASKS = [0, VALIDATION_TASK_BASE + 7 * 400]
 
 
 def forked_run_bytes() -> bytes:
@@ -347,16 +351,15 @@ class TestSlopeTBatch:
         assert got is not None, "the forked child hung"
         assert got == want
 
-    def test_kernel_starts_at_most_one_thread(self):
-        # the correlation kernel and an exact-MC miss share the package's
-        # one helper thread
+    def test_kernel_leaves_no_thread_behind(self):
+        # the correlation kernel and an exact-MC miss each join every helper
+        # thread they start before they return
         before = threading.active_count()
         for run in range(50):
             corr_t1_batch(20, 0.3, SEED, np.arange(run * 100, run * 100 + 100))
         critical_value_mc(30, 0.05, FORK_CV_PLAN)
-        assert threading.active_count() <= before + 1
-        helpers = [t for t in threading.enumerate() if t.name.startswith("slopesize-helper")]
-        assert len(helpers) == 1
+        assert threading.active_count() == before
+        assert_no_helper_alive()
 
     def test_import_starts_no_thread(self):
         # the helper's executor exists from import on, but starts its thread
@@ -399,11 +402,16 @@ class TestSlopeTBatch:
             with pytest.raises(ValueError, match="consecutive"):
                 slope_t_batch(10, 0.3, SEED, tasks)
 
-    @pytest.mark.parametrize("first", [0, VALIDATION_TASK_BASE + 7 * 400])
-    def test_range_and_array_of_tasks_give_the_same_bytes(self, first):
-        # validation runs pass a range, which is checked without an array
+    @pytest.mark.parametrize(
+        "batch, first",
+        [(slope_t_batch, f) for f in FIRST_TASKS] + [(corr_t1_batch, f) for f in FIRST_TASKS],
+        ids=[str(f) for f in FIRST_TASKS] + [f"corr-{f}" for f in FIRST_TASKS],
+    )
+    def test_range_and_array_of_tasks_give_the_same_bytes(self, batch, first):
+        # validation runs and corr_power_mc pass a range, which is checked
+        # without an array
         tasks = range(first, first + 400)
-        assert slope_t_batch(25, 0.6, SEED, tasks).tobytes() == slope_t_batch(
+        assert batch(25, 0.6, SEED, tasks).tobytes() == batch(
             25, 0.6, SEED, np.arange(first, first + 400, dtype=np.int64)
         ).tobytes()
 
@@ -589,43 +597,26 @@ class TestFindSampleSize:
         assert calls.count("slope_t_batch") == 0
 
 
-@pytest.fixture
-def submits(monkeypatch) -> list[tuple[str, int]]:
-    """(function name, submitting thread) of each submit to the helper from now on.
-
-    A submit from the helper thread itself, whose one worker would wait on
-    itself, raises AssertionError instead of hanging.
-    """
-    caller = threading.get_ident()
-    helper = stochastics._helper()
-    submit = helper.submit
-    submitted = []
-
-    def recording_submit(fn, *args, **kwargs):
-        submitted.append((fn.__name__, threading.get_ident()))
-        if threading.get_ident() != caller:
-            raise AssertionError("the helper submitted to itself")
-        return submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(helper, "submit", recording_submit)
-    return submitted
-
-
 class TestKernelSplit:
     """A lone correlation run draws its x blocks here and its z blocks on the helper."""
 
-    def test_nested_kernel_runs_inline(self, submits):
+    def test_nested_kernel_is_pinned_and_leaves_no_thread(self):
         # a lone run's per-block split, called inside both halves of another
-        # split, draws on its own thread and moves no bit
+        # split, starts its own helper, moves no bit and joins it
+        before = threading.active_count()
         runs = [None, None]
+        threads = set()
 
         def run(i):
+            threads.add(threading.get_ident())
             runs[i] = corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
 
         stochastics._split_items(2, run)
-        assert submits == [("half", threading.get_ident())]
+        assert len(threads) == 2
         for t1 in runs:
             assert sha256(t1) == KERNEL_PINS["corr"]
+        assert threading.active_count() == before
+        assert_no_helper_alive()
 
     @pytest.mark.parametrize("side", ["caller", "helper"], ids=["x_block", "z_block"])
     def test_lone_run_block_error_reaches_the_caller(self, monkeypatch, side):
@@ -649,7 +640,7 @@ class TestKernelSplit:
             corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
         assert raised.value is error
         assert len(calls) == 2
-        stochastics._helper().submit(int).result(timeout=10)  # the helper is idle again
+        assert_no_helper_alive()
 
 
 class TestRefineValidated:

@@ -315,9 +315,13 @@ def _sets_state(node) -> bool:
     return any(isinstance(t, ast.Attribute) and t.attr == "state" for t in targets)
 
 
-def test_only_split_items_submits_to_the_helper():
-    # the helper thread has one way in, so a nested split can run inline
-    assert _package_sites(_calls("submit")) == {("stochastics", "_split_items")}
+def test_only_split_items_starts_a_thread():
+    # _split_items joins the one thread it starts, so no package thread
+    # outlives a split
+    starts = (_calls("Thread"), _calls("ThreadPoolExecutor"))
+    assert _package_sites(lambda node: any(m(node) for m in starts)) == {
+        ("stochastics", "_split_items")
+    }
 
 
 def test_only_stochastics_builds_or_rekeys_bit_generators():
