@@ -19,7 +19,10 @@ on both:
   search      the full-fidelity search cell `slopesize samplesize --route
               slope --lambda 0.5 --alpha 0.05 --power 0.90 --seed 1`, its
               total CPU and wall seconds, the CPU and wall seconds spent
-              inside the critical values it computes (no cache file), the
+              inside the critical values it computes (no cache file; where
+              a validation draws its critical value in the same split as
+              its runs, their CPU on both threads and their wall seconds
+              on the calling thread, see timing_critical_values), the
               validation runs it draws and the peak RSS of the measuring
               process after it (which covers the chisq and critval layers
               before it);
@@ -82,6 +85,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -106,10 +110,11 @@ SCOUT_CELLS = [(0.6, 0.10, 0.80, 1), (0.6, 0.10, 0.90, 2), (0.5, 0.10, 0.80, 1)]
 CORR_CELLS = [(lam, alpha, target) for alpha in (0.10, 0.05, 0.01)
               for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) for target in (0.80, 0.90, 0.95, 0.99)]
 TIMES = ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
-         "search_critval_s", "search_critval_wall_s", "levels_s", "levels_wall_s", "corrmc_s",
-         "corrmc_wall_s", "scouts_s", "scouts_wall_s")
+         "levels_s", "levels_wall_s", "corrmc_s", "corrmc_wall_s", "scouts_s", "scouts_wall_s")
 COUNTS = ("search_runs", "scouts_runs")  # validation runs drawn
-HIT_TIMES = ("clihit_s", "clihit_wall_s")  # sub-millisecond, so kept to the microsecond
+# sub-millisecond (the critical values of a search only at --quick sizes),
+# so kept to the microsecond
+FINE_TIMES = ("clihit_s", "clihit_wall_s", "search_critval_s", "search_critval_wall_s")
 PAIRS = 3  # measuring processes per side; --quick runs one
 # full sizes, and the --quick ones that only exercise the harness
 FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3,
@@ -164,23 +169,92 @@ def cli_hits(cli, calls: int) -> tuple[float, float, str]:
 @contextlib.contextmanager
 def counting_validation_runs():
     """Record the validation runs the slope search draws: the first task id
-    of each slope_t_batch call at validation task ids."""
+    of each run drawn at validation task ids, by the per-run draw
+    powersim._draw_run where the tree has one, else by slope_t_batch."""
     from slopesize import powersim
     from slopesize.stochastics import VALIDATION_TASK_BASE
 
-    sampler = powersim.slope_t_batch
-    runs: list[int] = []
+    runs: list[int] = []  # list.append is safe on the helper thread
+    if hasattr(powersim, "_draw_run"):
+        name = "_draw_run"
 
-    def counting(n, lam, master_seed, tasks):
-        if tasks[0] >= VALIDATION_TASK_BASE:
-            runs.append(int(tasks[0]))
-        return sampler(n, lam, master_seed, tasks)
+        def counting(n, master_seed, first_task, block, row):
+            if first_task >= VALIDATION_TASK_BASE:
+                runs.append(first_task)
+            return sampler(n, master_seed, first_task, block, row)
+    else:
+        name = "slope_t_batch"
 
-    powersim.slope_t_batch = counting
+        def counting(n, lam, master_seed, tasks):
+            if tasks[0] >= VALIDATION_TASK_BASE:
+                runs.append(int(tasks[0]))
+            return sampler(n, lam, master_seed, tasks)
+
+    sampler = getattr(powersim, name)
+    setattr(powersim, name, counting)
     try:
         yield runs
     finally:
-        powersim.slope_t_batch = sampler
+        setattr(powersim, name, sampler)
+
+
+@contextlib.contextmanager
+def timing_critical_values():
+    """Time the critical values the slope search computes; yields
+    {"s": CPU seconds, "wall_s": wall seconds, "calls": lookups}.
+
+    Where the search looks a critical value up as a powersim._PendingDraw and
+    draws a miss in the same split as its validation runs, "s" is the CPU
+    (time.thread_time) of the lookup, the replicates and the keep on both
+    threads, and "wall_s" their wall seconds on the calling thread. Else
+    both time each powersim.cached_critical_value call.
+    """
+    from slopesize import powersim
+
+    spent = {"s": 0.0, "wall_s": 0.0, "calls": 0}
+    cpu: list[float] = []  # list.append is safe on the helper thread
+    caller = threading.get_ident()
+    name = "_PendingDraw" if hasattr(powersim, "_PendingDraw") else "cached_critical_value"
+    inner = getattr(powersim, name)
+
+    @contextlib.contextmanager
+    def clocked(thread_cpu: bool):
+        start_cpu = time.thread_time() if thread_cpu else time.process_time()
+        start_wall = time.perf_counter()
+        try:
+            yield
+        finally:
+            end_cpu = time.thread_time() if thread_cpu else time.process_time()
+            cpu.append(end_cpu - start_cpu)
+            if threading.get_ident() == caller:
+                spent["wall_s"] += time.perf_counter() - start_wall
+
+    if name == "_PendingDraw":
+        class timed(inner):
+            def __init__(self, *args):
+                spent["calls"] += 1
+                with clocked(True):
+                    super().__init__(*args)
+
+            def replicate(self, j):
+                with clocked(True):
+                    super().replicate(j)
+
+            def keep(self):
+                with clocked(True):
+                    return super().keep()
+    else:
+        def timed(*args, **kwargs):
+            spent["calls"] += 1
+            with clocked(False):
+                return inner(*args, **kwargs)
+
+    setattr(powersim, name, timed)
+    try:
+        yield spent
+    finally:
+        setattr(powersim, name, inner)
+        spent["s"] = sum(cpu)
 
 
 def scout_searches(sizes: dict) -> tuple[int, float, float, str]:
@@ -256,24 +330,8 @@ def measure(sizes: dict) -> dict:
 
     critval_s, critval_wall, critval_out = run_cli(cli, CRITVAL_ARGV + sizes["reps"])
 
-    spent = {"s": 0.0, "wall_s": 0.0, "calls": 0}
-    inner = powersim.cached_critical_value
-
-    def timed(*args, **kwargs):
-        cpu, wall = time.process_time(), time.perf_counter()
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            spent["s"] += time.process_time() - cpu
-            spent["wall_s"] += time.perf_counter() - wall
-            spent["calls"] += 1
-
-    powersim.cached_critical_value = timed
-    try:
-        with counting_validation_runs() as search_drawn:
-            search_s, search_wall, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
-    finally:
-        powersim.cached_critical_value = inner
+    with timing_critical_values() as spent, counting_validation_runs() as search_drawn:
+        search_s, search_wall, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
     search_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     # the critval request above left n = 30 at seed 1 in the exact-MC memo of
@@ -291,8 +349,8 @@ def measure(sizes: dict) -> dict:
         "critval_request_wall_s": round(critval_wall, 3),
         "search_cell_s": round(search_s, 3),
         "search_wall_s": round(search_wall, 3),
-        "search_critval_s": round(spent["s"], 3),
-        "search_critval_wall_s": round(spent["wall_s"], 3),
+        "search_critval_s": round(spent["s"], 6),
+        "search_critval_wall_s": round(spent["wall_s"], 6),
         "search_critval_calls": spent["calls"],
         "search_runs": len(search_drawn),
         "search_peak_rss_mb": round(search_rss_mb, 1),
@@ -405,7 +463,7 @@ def _median(runs: list[dict]) -> dict:
         "streams": {key: round(statistics.median(r["streams"][key] for r in runs), 2)
                     for key in runs[0]["streams"]},
         **{key: round(statistics.median(r[key] for r in runs), 3) for key in TIMES},
-        **{key: round(statistics.median(r[key] for r in runs), 6) for key in HIT_TIMES},
+        **{key: round(statistics.median(r[key] for r in runs), 6) for key in FINE_TIMES},
         **{key: statistics.median(r[key] for r in runs) for key in (*COUNTS, "search_peak_rss_mb")},
     }
 
@@ -420,7 +478,7 @@ def _change(before: dict, after: dict) -> dict:
         "streams": {key: rel(before["streams"][key], after["streams"][key])
                     for key in before["streams"]},
         **{key: rel(before[key], after[key])
-           for key in (*TIMES, *HIT_TIMES, *COUNTS, "search_peak_rss_mb")},
+           for key in (*TIMES, *FINE_TIMES, *COUNTS, "search_peak_rss_mb")},
     }
 
 

@@ -13,18 +13,20 @@ Both routes reproduce Table 1; neither is the data null law, under which
 T * sqrt(n-1) ~ t(n-2). At the ratio-law values the test is slightly
 conservative (size about 0.040 at alpha = 0.05, n = 30).
 
-One function, critical_values_mc_multi, serves every exact-MC value: the
-CLI, Table 1, sample-size searches and critical_value_mc. It reads the
-optional text-file cache (keyed on n, alpha, reps_inner, reps_outer,
-master_seed), which is parsed afresh on every lookup, then the process's one
-in-process store (_MC_MEMO, keyed by (n, alpha, plan)), and only then draws.
+One pending draw, _PendingDraw, serves every exact-MC value: the CLI,
+Table 1 and critical_value_mc through critical_values_mc_multi, and the
+sample-size search directly. It reads the optional text-file cache (keyed
+on n, alpha, reps_inner, reps_outer, master_seed), which is parsed afresh on
+every lookup, then the process's one in-process store (_MC_MEMO, keyed by
+(n, alpha, plan), holding only the plan drawn last), and only then draws.
 A draw also estimates the paper's three levels (TABLE1_LEVELS), so one set
-of draws at (n, plan) serves every level. The outer replicates are the items
-of a stochastics._split_items call: the caller draws the even ones and a
-helper thread, started and joined by that call, the odd ones. Each replicate
-reads only its own keyed streams, so the split moves no bit. The memo lives
-only as long as the process, so it can never be stale; the file carries
-values across processes.
+of draws at (n, plan) serves every level. The outer replicates are items of
+a stochastics._split_items call: the caller draws the even ones and a
+helper thread, started and joined by that call, the odd ones. The search
+puts a miss's replicates in the same split as a block of validation runs,
+ahead of them. Each replicate reads only its own keyed streams, so the
+split moves no bit. The memo lives only as long as the process, so it can
+never be stale; the file carries values across processes.
 """
 
 from __future__ import annotations
@@ -90,8 +92,50 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-# exact-MC estimates made in this process, keyed by (n, alpha, plan)
+# exact-MC estimates of the plan drawn last in this process, keyed by (n, alpha, plan)
 _MC_MEMO: dict[tuple[int, float, SimPlan], CriticalValueEstimate] = {}
+
+
+class _PendingDraw:
+    """critical_values_mc_multi's levels, looked up once (file, then memo).
+
+    replicate(j) must run for each j in range(reps) (0 if all were found),
+    on any thread, before keep() keeps and files the estimates and returns
+    them. If a replicate raises, the draw must be dropped unkept.
+    """
+
+    def __init__(self, n: int, alphas: list[float], plan: SimPlan, cache) -> None:
+        if n < 3:
+            raise ValueError(f"n must be at least 3, got {n!r}")
+        self.n, self.plan, self.cache = n, plan, cache
+        self.alphas = [_check_alpha(a) for a in alphas]
+        self.filed = {} if cache is None else {a: cache.lookup(n, a, plan) for a in self.alphas}
+        self.found = {a: self.filed.get(a) or _MC_MEMO.get((n, a, plan)) for a in self.alphas}
+        missing = [a for a, est in self.found.items() if est is None]
+        self.levels = list(dict.fromkeys([*missing, *TABLE1_LEVELS]))
+        self.reps = plan.reps_outer if missing else 0
+        self.roots = np.empty((len(self.levels), self.reps))
+
+    def replicate(self, j: int) -> None:
+        draws = t2_null_draws(StreamKey(self.plan.master_seed, j), self.n, self.plan.reps_inner)
+        draws.sort()
+        for i, alpha in enumerate(self.levels):
+            self.roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
+
+    def keep(self) -> list[CriticalValueEstimate]:
+        n, plan = self.n, self.plan
+        if self.reps:
+            for key in [key for key in list(_MC_MEMO) if key[2] != plan]:
+                _MC_MEMO.pop(key, None)
+            for alpha, roots in zip(self.levels, self.roots):
+                sd = float(np.std(roots, ddof=1)) if self.reps > 1 else 0.0
+                est = CriticalValueEstimate(n, alpha, float(np.mean(roots)), sd, EXACT_MC)
+                _MC_MEMO[(n, alpha, plan)] = est
+                self.found[alpha] = self.found.get(alpha) or est
+        for a, hit in self.filed.items():
+            if hit is None:
+                self.cache.store(self.found[a], plan)
+        return [self.found[a] for a in self.alphas]
 
 
 def critical_values_mc_multi(
@@ -104,44 +148,18 @@ def critical_values_mc_multi(
     standalone critical_value_mc call with the same plan.
 
     Each level is served, in order, from the cache file when it holds the
-    key, else from the estimates kept for the life of the process, keyed by
-    (n, alpha, plan). If any level is in neither, the replicate loop runs
-    once for those levels together with TABLE1_LEVELS and every estimate it
-    makes is kept. Each asked level the file lacked is then appended to it.
-    A helper thread started for the draw takes the odd replicates and has
-    ended when this returns. If either half raises, the other stops at its
-    next replicate and the first error is raised; nothing is kept or
-    appended (see stochastics._split_items).
+    key, else from the estimates kept in process for the plan drawn last.
+    If any level is in neither, the replicate loop runs once for those
+    levels together with TABLE1_LEVELS and every estimate it makes is kept.
+    Each asked level the file lacked is then appended to it. A helper
+    thread started for the draw takes the odd replicates and has ended when
+    this returns. If either half raises, the other stops at its next
+    replicate and the first error is raised; nothing is kept or appended
+    (see stochastics._split_items).
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n!r}")
-    alphas = [_check_alpha(a) for a in alphas]
-    filed = {} if cache is None else {a: cache.lookup(n, a, plan) for a in alphas}
-    missing = [a for a in alphas if filed.get(a) is None and (n, a, plan) not in _MC_MEMO]
-    if missing:
-        levels = list(dict.fromkeys([*missing, *TABLE1_LEVELS]))
-        roots = np.empty((len(levels), plan.reps_outer))
-
-        def replicate(j: int) -> None:
-            draws = t2_null_draws(StreamKey(plan.master_seed, j), n, plan.reps_inner)
-            draws.sort()
-            for i, alpha in enumerate(levels):
-                roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
-
-        _split_items(plan.reps_outer, replicate)
-        for i, alpha in enumerate(levels):
-            sd = float(np.std(roots[i], ddof=1)) if plan.reps_outer > 1 else 0.0
-            _MC_MEMO[(n, alpha, plan)] = CriticalValueEstimate(
-                n=n,
-                alpha=alpha,
-                value=float(np.mean(roots[i])),
-                sd=sd,
-                method=EXACT_MC,
-            )
-    for a, hit in filed.items():
-        if hit is None:
-            cache.store(_MC_MEMO[(n, a, plan)], plan)
-    return [filed.get(a) or _MC_MEMO[(n, a, plan)] for a in alphas]
+    draw = _PendingDraw(n, alphas, plan, cache)
+    _split_items(draw.reps, draw.replicate)
+    return draw.keep()
 
 
 def critical_value_mc(n: int, alpha: float, plan: SimPlan) -> CriticalValueEstimate:

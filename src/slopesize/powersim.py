@@ -26,8 +26,10 @@ mean is monotone in n. Validation replays the estimate across
 plan.reps_outer independent runs of plan.reps_inner trials each. Run v has
 the same task keys at every n, so a search simulates each run at each n at
 most once: run powers are memoized per n, and a full validation extends its
-scout instead of repeating it. Critical values are computed only at the
-sizes the search validates.
+scout instead of repeating it. New runs are drawn one scout's worth at a
+time, as the rows of a block split between two threads, and scored in one
+pass. Critical values are looked up only at the sizes the search validates,
+once per size; a miss is drawn in the split of the size's first block.
 """
 
 from __future__ import annotations
@@ -37,15 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critvals import (
-    CriticalValueCache,
-    CriticalValueEstimate,
-    cached_critical_value,
-)
+from .critvals import CriticalValueCache, CriticalValueEstimate, _PendingDraw
+from .critvals import cached_critical_value  # noqa: F401  (the benchmark tracer wraps it by name)
 from .stochastics import (
     VALIDATION_TASK_BASE,
     SimPlan,
     StreamKey,
+    _split_items,
     chisq_array,
     normal_array,
 )
@@ -125,22 +125,32 @@ def _run_tasks(n: int, lam: float, tasks) -> range | np.ndarray:
     return tasks
 
 
-def slope_t_batch(n: int, lam: float, master_seed: int, tasks) -> np.ndarray:
-    """t_slope values of one run, one per task id, from the law of T.
+def _draw_run(n: int, master_seed: int, first_task: int, block, row: int) -> None:
+    """Draw the S, W and Z of the run keyed by first_task into row `row` of block."""
+    s, w, z = block
+    trials = s.shape[1]
+    key = StreamKey(master_seed, first_task)
+    s[row] = chisq_array(key.with_stream(_S_STREAM), n - 1, trials)
+    w[row] = chisq_array(key.with_stream(_W_STREAM), n - 2, trials)
+    z[row] = normal_array(key.with_stream(_Z_STREAM), trials)
 
-    Trial i is (lam * sqrt(S_i) + Z_i) / sqrt(W_i / (n - 2)) / sqrt(n - 1),
-    with S = chisq_array(..., n - 1), W = chisq_array(..., n - 2) and Z =
-    normal_array(...) read from the streams (master_seed, tasks[0], role)
-    of roles 102, 103 and 104. tasks (a range or an array) must be
-    consecutive, so runs with disjoint task ranges are independent. n must
-    be at least 4 and lam finite (else ValueError).
+
+def _slope_t_rows(n: int, lam: float, master_seed: int, first_tasks, trials: int, draw=None):
+    """t_slope values of runs of `trials` trials, one row per first task id.
+
+    The rows are drawn as items of one split, after the replicates of a
+    critvals._PendingDraw if given (the caller keeps it), then transformed.
     """
-    tasks = _run_tasks(n, lam, tasks)
-    trials = len(tasks)
-    key = StreamKey(master_seed, int(tasks[0]))
-    s = chisq_array(key.with_stream(_S_STREAM), n - 1, trials)
-    w = chisq_array(key.with_stream(_W_STREAM), n - 2, trials)
-    z = normal_array(key.with_stream(_Z_STREAM), trials)
+    reps = 0 if draw is None else draw.reps
+    s, w, z = block = tuple(np.empty((len(first_tasks), trials)) for _ in range(3))
+
+    def item(i: int) -> None:
+        if i < reps:
+            draw.replicate(i)
+        else:
+            _draw_run(n, master_seed, first_tasks[i - reps], block, i - reps)
+
+    _split_items(reps + len(first_tasks), item)
     # (lam * sqrt(s) + z) / sqrt(w / (n - 2)) / sqrt(n - 1), in place
     np.sqrt(s, out=s)
     s *= lam
@@ -150,6 +160,21 @@ def slope_t_batch(n: int, lam: float, master_seed: int, tasks) -> np.ndarray:
     s /= w
     s /= math.sqrt(n - 1)
     return s
+
+
+def slope_t_batch(n: int, lam: float, master_seed: int, tasks) -> np.ndarray:
+    """t_slope values of one run, one per task id, from the law of T.
+
+    Trial i is (lam * sqrt(S_i) + Z_i) / sqrt(W_i / (n - 2)) / sqrt(n - 1),
+    with S = chisq_array(..., n - 1), W = chisq_array(..., n - 2) and Z =
+    normal_array(...) read from the streams (master_seed, tasks[0], role)
+    of roles 102, 103 and 104. tasks (a range or an array) must be
+    consecutive, so runs with disjoint task ranges are independent. n must
+    be at least 4 and lam finite (else ValueError). A search's validation
+    runs are the rows of blocks drawn the same way.
+    """
+    tasks = _run_tasks(n, lam, tasks)
+    return _slope_t_rows(n, lam, master_seed, [int(tasks[0])], len(tasks))[0]
 
 
 def check_slope_power_args(n: int, lam: float) -> None:
@@ -215,21 +240,30 @@ class _SlopeSearch:
         self.scout_runs = min(50, plan.reps_outer)
         # powers of validation runs 0, 1, ... at each n; lists only grow
         self._powers: dict[int, list[float]] = {}
+        self._critvals: dict[int, float] = {}  # at each n validated
 
     def validate(self, n: int, runs: int) -> _Validation:
         """Mean and sd of the first `runs` validation runs at n.
 
         Only runs not yet simulated at n are drawn, so a full validation
-        extends its scout.
+        extends its scout; they are drawn scout_runs at a time. The critical
+        value at n is looked up once: a miss is drawn in the split of the
+        first block and kept before its runs are scored.
         """
         trials = self.plan.reps_inner
-        c = cached_critical_value(n, self.alpha, self.critval_plan, self.cache).value
         powers = self._powers.setdefault(n, [])
-        for v in range(len(powers), runs):
-            base = VALIDATION_TASK_BASE + v * trials
-            tasks = range(base, base + trials)
-            t_vals = slope_t_batch(n, self.lam, self.plan.master_seed, tasks)
-            powers.append(np.count_nonzero(np.abs(t_vals) > c) / trials)
+        draw = None
+        if n not in self._critvals:
+            draw = _PendingDraw(n, [self.alpha], self.critval_plan, self.cache)
+        while len(powers) < runs or draw is not None:
+            v = range(len(powers), min(runs, len(powers) + self.scout_runs))
+            tasks = [VALIDATION_TASK_BASE + i * trials for i in v]
+            t_abs = np.abs(_slope_t_rows(n, self.lam, self.plan.master_seed, tasks, trials, draw))
+            if draw is not None:
+                self._critvals[n] = draw.keep()[0].value
+                draw = None
+            rejects = np.count_nonzero(t_abs > self._critvals[n], axis=1)
+            powers.extend((rejects / trials).tolist())
         head = np.array(powers[:runs])
         sd = float(np.std(head, ddof=1)) if runs > 1 else 0.0
         return _Validation(mean=float(np.mean(head)), sd=sd, runs=runs)

@@ -24,12 +24,13 @@ comes from generator(key), which the caller owns.
 The package starts a thread only in _split_items, which gives the caller the
 even items of a loop and a helper thread, started for that call and joined
 before it returns, the odd ones, each item drawn whole on its thread. It
-serves the outer replicates of an exact-MC miss and the two blocks of each
-step of a lone correlation run. So each generator is read by one thread, in
-the same order and block shapes, and each result is written by one thread,
-so no value depends on which thread draws it. No package thread outlives a
-split, so a split nested in another's half and a forked child need no
-special case.
+serves the outer replicates of an exact-MC miss, a search's validation runs
+(one block of runs per split, a miss's replicates first) and the two blocks
+of each step of a lone correlation run. So each generator is read by one
+thread, in the same order and block shapes, and each result is written by
+one thread, so no value depends on which thread draws it. No package thread
+outlives a split, so a split nested in another's half and a forked child
+need no special case.
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):

@@ -176,6 +176,20 @@ class TestMemo:
         assert len(draw_calls) == plan.reps_outer
         assert est == fresh_mc(n, 0.05, plan)
 
+    def test_only_the_plan_drawn_last_is_kept(self, draw_calls):
+        other = dataclasses.replace(SMALL, master_seed=SEED + 1)
+        critical_value_mc(25, 0.05, SMALL)
+        critical_value_mc(26, 0.05, SMALL)
+        assert {key[2] for key in critvals._MC_MEMO} == {SMALL}
+        critical_value_mc(25, 0.05, other)
+        critical_value_mc(26, 0.2, other)
+        assert {key[2] for key in critvals._MC_MEMO} == {other}
+        assert len(critvals._MC_MEMO) == 7  # 25: the table levels; 26: and 0.2
+        del draw_calls[:]
+        again = [critical_value_mc(25, alpha, other) for alpha in TABLE1_LEVELS]
+        assert draw_calls == []
+        assert again[1] == fresh_mc(25, 0.05, other)
+
     def test_table1_row_then_cached_value_draws_nothing_and_stores(
         self, draw_calls, tmp_path
     ):

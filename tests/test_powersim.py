@@ -31,6 +31,7 @@ from slopesize import corroute, critvals, powersim, stochastics
 from slopesize.corroute import corr_t1_batch, lambda_to_rho, rho_to_lambda
 from slopesize.critvals import (
     EXACT_MC,
+    CriticalValueCache,
     CriticalValueEstimate,
     cached_critical_value,
     critical_value_mc,
@@ -484,21 +485,21 @@ GOLDEN_SEARCHES = [
 ]
 
 
-# validation runs each GOLDEN_SEARCHES search draws (sampler calls)
+# validation runs each GOLDEN_SEARCHES search draws (per-run draw calls)
 GOLDEN_RUNS_DRAWN = {cell: runs for (cell, _), runs in zip(GOLDEN_SEARCHES, [110, 105])}
 
 
 def record_validation_runs(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap the sampler; the list returned gets (n, first task id) per validation run drawn."""
-    calls = []
-    sampler = powersim.slope_t_batch
+    """Wrap the per-run draw; the list returned gets (n, first task id) per validation run drawn."""
+    calls = []  # list.append is safe on the helper thread
+    draw_run = powersim._draw_run
 
-    def recording_sampler(n, lam, master_seed, tasks):
-        if tasks[0] >= VALIDATION_TASK_BASE:
-            calls.append((n, int(tasks[0])))
-        return sampler(n, lam, master_seed, tasks)
+    def recording_draw(n, master_seed, first_task, block, row):
+        if first_task >= VALIDATION_TASK_BASE:
+            calls.append((n, first_task))
+        return draw_run(n, master_seed, first_task, block, row)
 
-    monkeypatch.setattr(powersim, "slope_t_batch", recording_sampler)
+    monkeypatch.setattr(powersim, "_draw_run", recording_draw)
     return calls
 
 
@@ -528,18 +529,18 @@ class TestFindSampleSize:
         # the search draws runs and fetches a critical value only at the
         # sizes it validates, and at every one of them
         validated, computed = set(), []
-        lookup = powersim.cached_critical_value
+        lookup = powersim._PendingDraw
         validate = powersim._SlopeSearch.validate
 
-        def recording_lookup(n, alpha, plan, cache=None):
+        def recording_lookup(n, alphas, plan, cache):
             computed.append(n)
-            return lookup(n, alpha, plan, cache)
+            return lookup(n, alphas, plan, cache)
 
         def recording_validate(search, n, runs):
             validated.add(n)
             return validate(search, n, runs)
 
-        monkeypatch.setattr(powersim, "cached_critical_value", recording_lookup)
+        monkeypatch.setattr(powersim, "_PendingDraw", recording_lookup)
         monkeypatch.setattr(powersim._SlopeSearch, "validate", recording_validate)
         calls = record_validation_runs(monkeypatch)
         plan = SimPlan(500, 55, SEED)
@@ -583,8 +584,8 @@ class TestFindSampleSize:
 
             monkeypatch.setattr(powersim, name, wrapper)
 
-        counting("cached_critical_value")
-        counting("slope_t_batch")
+        counting("_PendingDraw")
+        counting("_draw_run")
         plan = SimPlan(reps_inner=500, reps_outer=10, master_seed=SEED)
         with pytest.raises(SearchFailureError, match=r"n_ceiling=50 .*lam=0\.05, alpha=0\.05"):
             find_sample_size_slope(
@@ -593,8 +594,101 @@ class TestFindSampleSize:
                 critval_plan=SimPlan(reps_inner=1_000, reps_outer=10, master_seed=SEED),
                 n_ceiling=50,
             )
-        assert calls.count("cached_critical_value") == 0
-        assert calls.count("slope_t_batch") == 0
+        assert calls.count("_PendingDraw") == 0
+        assert calls.count("_draw_run") == 0
+
+
+class TestValidationBlocks:
+    """A validation draws its runs as rows of blocks, its critical-value miss in the first."""
+
+    PLAN = SimPlan(200, 120, SEED)  # scout 50, so blocks of 50, 50 and 20 runs
+    CV_PLAN = SimPlan(1_000, 7, SEED)
+
+    def search(self, cache=None):
+        return powersim._SlopeSearch(0.6, 0.10, 0.80, self.PLAN, cache, self.CV_PLAN)
+
+    def test_run_powers_equal_single_runs_bit_for_bit(self):
+        search = self.search()
+        search.validate(24, 30)
+        search.validate(24, 120)
+        search.validate(23, 120)
+        trials = self.PLAN.reps_inner
+        for n in (23, 24):
+            c = search._critvals[n]
+            assert c == critical_value_mc(n, 0.10, self.CV_PLAN).value
+            want = []
+            for v in range(120):
+                base = VALIDATION_TASK_BASE + v * trials
+                t_vals = slope_t_batch(n, 0.6, SEED, range(base, base + trials))
+                want.append(np.count_nonzero(np.abs(t_vals) > c) / trials)
+            assert [p.hex() for p in search._powers[n]] == [p.hex() for p in want]
+
+    def test_merged_miss_equals_a_lone_critical_value(self):
+        self.search().validate(24, 50)
+        # the miss kept the three table levels, alpha = 0.10 among them
+        merged = {alpha: est for (n, alpha, _), est in critvals._MC_MEMO.items() if n == 24}
+        critvals._MC_MEMO.clear()
+        alone = critvals.critical_values_mc_multi(24, list(merged), self.CV_PLAN)
+        assert list(merged) == [0.10, 0.05, 0.01]
+        assert [(e.value.hex(), e.sd.hex()) for e in merged.values()] == [
+            (e.value.hex(), e.sd.hex()) for e in alone
+        ]
+
+    @pytest.mark.parametrize("where", ["replicate-caller", "replicate-helper", "row-caller",
+                                       "row-helper"])
+    def test_a_raising_item_keeps_nothing(self, monkeypatch, tmp_path, where):
+        # items 0..6 are the replicates and 7.. the rows; the caller draws
+        # the even items, the helper the odd ones
+        error = RuntimeError(where)
+        raised_on = []  # list.append is safe on the helper thread
+        if where.startswith("replicate"):
+            bad = 4 if where.endswith("caller") else 3
+            real_draws = critvals.t2_null_draws
+
+            def failing_draws(key, n, size):
+                if key.task_id == bad:
+                    raised_on.append(threading.get_ident())
+                    raise error
+                return real_draws(key, n, size)
+
+            monkeypatch.setattr(critvals, "t2_null_draws", failing_draws)
+        else:
+            bad_row = (12 if where.endswith("caller") else 9) - 7
+            real_run = powersim._draw_run
+
+            def failing_run(n, master_seed, first_task, block, row):
+                if row == bad_row:
+                    raised_on.append(threading.get_ident())
+                    raise error
+                return real_run(n, master_seed, first_task, block, row)
+
+            monkeypatch.setattr(powersim, "_draw_run", failing_run)
+        path = tmp_path / "cv.txt"
+        search = self.search(CriticalValueCache(path))
+        with pytest.raises(RuntimeError) as raised:
+            search.validate(24, 50)
+        assert raised.value is error
+        assert (raised_on == [threading.get_ident()]) == where.endswith("caller")
+        assert critvals._MC_MEMO == {}
+        assert not path.exists() or path.read_text() == ""
+        assert search._powers.get(24, []) == [] and 24 not in search._critvals
+        assert_no_helper_alive()
+
+    def test_full_validation_memory_is_two_blocks_at_most(self):
+        # a 1,000-run validation is drawn 50 runs at a time: S, W and Z of
+        # one block are 3 x 50 x 1,000 doubles
+        plan = SimPlan(1_000, 1_000, SEED)
+        search = powersim._SlopeSearch(0.5, 0.05, 0.90, plan, None, self.CV_PLAN)
+        critical_value_mc(49, 0.05, self.CV_PLAN)  # a memo hit in the search
+        block_bytes = 3 * 50 * 1_000 * 8
+        tracemalloc.start()
+        try:
+            result = search.validate(49, 1_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.runs == 1_000 and len(search._powers[49]) == 1_000
+        assert peak < 2 * block_bytes
 
 
 class TestKernelSplit:
