@@ -50,7 +50,7 @@ on both:
 
 Times are time.process_time() of the measuring process, which adds up the
 CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
-A lone correlation run's two streams and the exact-MC replicate loop are
+A correlation power's two half-runs and the exact-MC replicate loop are
 drawn on two threads, so their gains show in wall time.
 Each side's stdout of the commands (for corrmc, the hex powers) is recorded,
 and the script fails if the sides print different bytes: the change must
@@ -169,33 +169,24 @@ def cli_hits(cli, calls: int) -> tuple[float, float, str]:
 @contextlib.contextmanager
 def counting_validation_runs():
     """Record the validation runs the slope search draws: the first task id
-    of each run drawn at validation task ids, by the per-run draw
-    powersim._draw_run where the tree has one, else by slope_t_batch."""
+    of each run drawn at validation task ids by the per-run draw
+    powersim._draw_run."""
     from slopesize import powersim
     from slopesize.stochastics import VALIDATION_TASK_BASE
 
     runs: list[int] = []  # list.append is safe on the helper thread
-    if hasattr(powersim, "_draw_run"):
-        name = "_draw_run"
+    sampler = powersim._draw_run
 
-        def counting(n, master_seed, first_task, block, row):
-            if first_task >= VALIDATION_TASK_BASE:
-                runs.append(first_task)
-            return sampler(n, master_seed, first_task, block, row)
-    else:
-        name = "slope_t_batch"
+    def counting(n, master_seed, first_task, block, row):
+        if first_task >= VALIDATION_TASK_BASE:
+            runs.append(first_task)
+        return sampler(n, master_seed, first_task, block, row)
 
-        def counting(n, lam, master_seed, tasks):
-            if tasks[0] >= VALIDATION_TASK_BASE:
-                runs.append(int(tasks[0]))
-            return sampler(n, lam, master_seed, tasks)
-
-    sampler = getattr(powersim, name)
-    setattr(powersim, name, counting)
+    powersim._draw_run = counting
     try:
         yield runs
     finally:
-        setattr(powersim, name, sampler)
+        powersim._draw_run = sampler
 
 
 @contextlib.contextmanager
@@ -203,57 +194,47 @@ def timing_critical_values():
     """Time the critical values the slope search computes; yields
     {"s": CPU seconds, "wall_s": wall seconds, "calls": lookups}.
 
-    Where the search looks a critical value up as a powersim._PendingDraw and
-    draws a miss in the same split as its validation runs, "s" is the CPU
+    The search looks a critical value up as a powersim._PendingDraw and
+    draws a miss in the same split as its validation runs, so "s" is the CPU
     (time.thread_time) of the lookup, the replicates and the keep on both
-    threads, and "wall_s" their wall seconds on the calling thread. Else
-    both time each powersim.cached_critical_value call.
+    threads, and "wall_s" their wall seconds on the calling thread.
     """
     from slopesize import powersim
 
     spent = {"s": 0.0, "wall_s": 0.0, "calls": 0}
     cpu: list[float] = []  # list.append is safe on the helper thread
     caller = threading.get_ident()
-    name = "_PendingDraw" if hasattr(powersim, "_PendingDraw") else "cached_critical_value"
-    inner = getattr(powersim, name)
+    inner = powersim._PendingDraw
 
     @contextlib.contextmanager
-    def clocked(thread_cpu: bool):
-        start_cpu = time.thread_time() if thread_cpu else time.process_time()
-        start_wall = time.perf_counter()
+    def clocked():
+        start_cpu, start_wall = time.thread_time(), time.perf_counter()
         try:
             yield
         finally:
-            end_cpu = time.thread_time() if thread_cpu else time.process_time()
-            cpu.append(end_cpu - start_cpu)
+            cpu.append(time.thread_time() - start_cpu)
             if threading.get_ident() == caller:
                 spent["wall_s"] += time.perf_counter() - start_wall
 
-    if name == "_PendingDraw":
-        class timed(inner):
-            def __init__(self, *args):
-                spent["calls"] += 1
-                with clocked(True):
-                    super().__init__(*args)
-
-            def replicate(self, j):
-                with clocked(True):
-                    super().replicate(j)
-
-            def keep(self):
-                with clocked(True):
-                    return super().keep()
-    else:
-        def timed(*args, **kwargs):
+    class timed(inner):
+        def __init__(self, *args):
             spent["calls"] += 1
-            with clocked(False):
-                return inner(*args, **kwargs)
+            with clocked():
+                super().__init__(*args)
 
-    setattr(powersim, name, timed)
+        def replicate(self, j):
+            with clocked():
+                super().replicate(j)
+
+        def keep(self):
+            with clocked():
+                return super().keep()
+
+    powersim._PendingDraw = timed
     try:
         yield spent
     finally:
-        setattr(powersim, name, inner)
+        powersim._PendingDraw = inner
         spent["s"] = sum(cpu)
 
 
@@ -262,7 +243,7 @@ def scout_searches(sizes: dict) -> tuple[int, float, float, str]:
     from slopesize import critvals, powersim
     from slopesize.stochastics import SimPlan
 
-    getattr(critvals, "_MC_MEMO", {}).clear()
+    critvals._MC_MEMO.clear()
     cv_plan = SimPlan(*sizes["scouts_critval"], master_seed=1)
     with counting_validation_runs() as drawn:
         cpu, wall = time.process_time(), time.perf_counter()
@@ -334,9 +315,9 @@ def measure(sizes: dict) -> dict:
         search_s, search_wall, search_out = run_cli(cli, SEARCH_ARGV + sizes["reps"])
     search_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    # the critval request above left n = 30 at seed 1 in the exact-MC memo of
-    # a tree that has one; empty it so that the first level draws afresh
-    getattr(critvals, "_MC_MEMO", {}).clear()
+    # the critval request above left n = 30 at seed 1 in the exact-MC memo;
+    # empty it so that the first level draws afresh
+    critvals._MC_MEMO.clear()
     levels = [run_cli(cli, argv + sizes["reps"]) for argv in LEVELS_ARGV]
     corrmc_s, corrmc_wall, corrmc_out = corr_mc_powers(sizes["corrmc_trials"])
     clihit_s, clihit_wall, clihit_out = cli_hits(cli, sizes["clihit_calls"])

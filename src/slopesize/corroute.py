@@ -58,8 +58,8 @@ _Z_STREAM = 201
 
 # variates per block array: a run is read max(1, _CHUNK_VARIATES // trials)
 # observations at a time and each block's sums are added to running sums,
-# which bounds memory for any n
-_CHUNK_VARIATES = 4096 * 64
+# which bounds memory for any n; corr_power_mc runs two at once
+_CHUNK_VARIATES = 4096 * 32
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,6 @@ def corr_power_approx(n: int, rho: float, alpha: float) -> float:
     return normal_cdf((z_r - z_rc) * s) + normal_cdf((-z_r - z_rc) * s)
 
 
-def _fill_block(gen, a: np.ndarray, out: np.ndarray) -> None:
-    """Fill the block a from gen and write its column sums of a and a^2 to out[0] and out[1]."""
-    gen.standard_normal(out=a)
-    a.sum(axis=0, out=out[0])
-    np.einsum("ij,ij->j", a, a, out=out[1])
-
-
 def corr_t1_batch(n: int, rho: float, master_seed: int, tasks) -> np.ndarray:
     """T1 statistics of one run of bivariate-normal replicates, one per task id.
 
@@ -133,13 +126,8 @@ def corr_t1_batch(n: int, rho: float, master_seed: int, tasks) -> np.ndarray:
     added to running sums. n must be at least 4 (else ValueError), and a
     degenerate replicate raises SearchFailureError.
 
-    Each block is two items of stochastics._split_items, the x block and
-    its sums (item 0) and the z block and its sums (item 1): the run draws x
-    on this thread and z on a helper thread started for that block, and
-    numpy releases the GIL while it fills normals. Each stream is read by
-    one thread in the same order and block shapes, so the values are
-    bit-identical wherever the run is called from. An error raised while
-    drawing either block reaches the caller.
+    The run starts no thread, so each generator is read by one thread for
+    its whole life and the values are bit-identical wherever it is called.
     """
     lam = rho_to_lambda(rho)
     tasks = _run_tasks(n, lam, tasks)
@@ -147,18 +135,14 @@ def corr_t1_batch(n: int, rho: float, master_seed: int, tasks) -> np.ndarray:
     rows = max(1, _CHUNK_VARIATES // trials)
     x_gen = generator(StreamKey(master_seed, int(tasks[0]), _X_STREAM))
     z_gen = generator(StreamKey(master_seed, int(tasks[0]), _Z_STREAM))
+    dot = functools.partial(np.einsum, "ij,ij->j")  # column sums of a * b
     sums = np.zeros((5, trials))  # running sums of x, z, x^2, x*z and z^2
-    block = np.empty((5, trials))  # the same sums over one block
     x_rows, z_rows = np.empty((2, min(rows, n), trials))
     for start in range(0, n, rows):
         size = min(rows, n - start)
-        x, z = x_rows[:size], z_rows[:size]
-        # rows 0 and 2 of block take the sums of x and x^2, rows 1 and 4
-        # those of z and z^2
-        items = ((x_gen, x, block[0:3:2]), (z_gen, z, block[1::3]))
-        _split_items(2, lambda i: _fill_block(*items[i]))
-        np.einsum("ij,ij->j", x, z, out=block[3])
-        sums += block
+        x = x_gen.standard_normal(out=x_rows[:size])
+        z = z_gen.standard_normal(out=z_rows[:size])
+        sums += (x.sum(axis=0), z.sum(axis=0), dot(x, x), dot(x, z), dot(z, z))
     # one-pass sums lose nothing to cancellation here: x and z are
     # mean-zero normals, so (sum x)^2 / n is O(1) against sum x^2 ~ n
     sx, sz, sxx, sxz, szz = sums
@@ -180,12 +164,23 @@ def corr_t1_batch(n: int, rho: float, master_seed: int, tasks) -> np.ndarray:
 
 
 def corr_power_mc(n: int, rho: float, alpha: float, plan: SimPlan) -> PowerEstimate:
-    """Monte Carlo power of the correlation t test |T1| > t_{1-alpha/2, n-2}."""
+    """Monte Carlo power of the correlation t test |T1| > t_{1-alpha/2, n-2}.
+
+    The trials are two whole corr_t1_batch runs, task ids [0, reps // 2) here
+    and [reps // 2, reps) on a helper thread: one stochastics._split_items.
+    """
     _check_power_args(n, rho, alpha)
     crit = t_quantile(1.0 - 0.5 * alpha, n - 2)
     reps = plan.reps_inner
-    t1 = corr_t1_batch(n, rho, plan.master_seed, range(reps))
-    power = float(np.count_nonzero(np.abs(t1) > crit)) / reps
+    halves = (range(0, reps // 2), range(reps // 2, reps))
+    rejected = [0, 0]
+
+    def run(i: int) -> None:
+        t1 = corr_t1_batch(n, rho, plan.master_seed, halves[i])
+        rejected[i] = int(np.count_nonzero(np.abs(t1) > crit))
+
+    _split_items(2, run)
+    power = sum(rejected) / reps
     sd = math.sqrt(power * (1.0 - power) / reps)
     return PowerEstimate(n=n, alpha=alpha, lam=rho_to_lambda(rho), power=power, sd=sd)
 

@@ -153,9 +153,8 @@ def critical_values_mc_multi(
     levels together with TABLE1_LEVELS and every estimate it makes is kept.
     Each asked level the file lacked is then appended to it. A helper
     thread started for the draw takes the odd replicates and has ended when
-    this returns. If either half raises, the other stops at its next
-    replicate and the first error is raised; nothing is kept or appended
-    (see stochastics._split_items).
+    this returns. If a replicate raises, the lowest-indexed failing one's
+    error is raised and nothing is kept or appended (stochastics._split_items).
     """
     draw = _PendingDraw(n, alphas, plan, cache)
     _split_items(draw.reps, draw.replicate)

@@ -15,6 +15,7 @@ CDF's, at two to four CDF evaluations per quantile.
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 
 __all__ = [
@@ -198,8 +199,9 @@ def t_quantile(p: float, df: int) -> float:
     is -df. Either stops once that error is at most 1e-13 (relative to p
     below the median) or the step is below 1e-13 * |x|. Each CDF value
     narrows [lo, hi]; a step outside it is replaced by bisection, or by
-    doubling while the bracket is unbounded, unless x has already met the
-    tolerance, which returns x.
+    doubling (held at -float max) while the bracket is unbounded, unless x
+    has already met the tolerance, which returns x. A p below t_cdf(-float
+    max, df), 1.77e-309 at df 1 and 0 above, raises ValueError.
     """
     _check_prob(p)
     df = _check_df(df)
@@ -238,10 +240,12 @@ def t_quantile(p: float, df: int) -> float:
         if not (math.isfinite(step) and lo <= step <= hi):
             if abs(err) <= 1e-13:
                 return x
-            step = 0.5 * (lo + hi) if math.isfinite(lo + hi) else 2.0 * x
+            step = 0.5 * (lo + hi) if math.isfinite(lo + hi) else max(2.0 * x, -sys.float_info.max)
         if abs(err) <= 1e-13 or abs(step - x) <= 1e-13 * abs(x):
             return step
         x = step
+    if p < (floor := t_cdf(-sys.float_info.max, df)):
+        raise ValueError(f"p={p!r} < t_cdf(-float max, {df}) = {floor!r}: beyond the float range")
     raise NonConvergenceError(f"t quantile did not converge at p={p}, df={df}")
 
 

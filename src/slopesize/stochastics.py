@@ -23,14 +23,13 @@ comes from generator(key), which the caller owns.
 
 The package starts a thread only in _split_items, which gives the caller the
 even items of a loop and a helper thread, started for that call and joined
-before it returns, the odd ones, each item drawn whole on its thread. It
-serves the outer replicates of an exact-MC miss, a search's validation runs
-(one block of runs per split, a miss's replicates first) and the two blocks
-of each step of a lone correlation run. So each generator is read by one
-thread, in the same order and block shapes, and each result is written by
-one thread, so no value depends on which thread draws it. No package thread
-outlives a split, so a split nested in another's half and a forked child
-need no special case.
+before it returns, the odd ones. Its items are whole units: the outer
+replicates of an exact-MC miss, a search's validation runs (one block of
+runs per split, a miss's replicates first) and the two half-runs of a
+correlation power estimate. So each generator is read by one thread for its
+whole life, and each result, like the error raised (the lowest-indexed
+item's), is the same whichever thread is faster. No package thread outlives
+a split, so nested splits and a forked child need no special case.
 
 Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
@@ -234,29 +233,30 @@ def _split_items(count: int, work) -> None:
 
     The caller takes the even i and a helper thread, started for this call,
     the odd ones, each in ascending order; the helper has ended when the
-    call returns or raises. If either half raises, the other stops at its
-    next item and the first error is raised once both have stopped; work
-    must then have kept nothing that outlives the call. A lone item runs on
-    the calling thread; a split made inside a half starts its own helper.
+    call returns or raises. A half stops at its first error or above an item
+    the other half failed on, and the lowest-indexed failing item's error is
+    raised; work must then have kept nothing that outlives the call. A lone
+    item runs on the calling thread; a split made inside a half starts its own.
     """
     if count < 2:
         for i in range(count):
             work(i)
         return
-    errors: list[BaseException] = []  # re-raised below, the first one
+    failed = [(count, None), (count, None)]  # (item, error) of each half's first raise
 
     def half(first: int) -> None:
         try:
             for i in range(first, count, 2):
-                if errors:
+                if failed[1 - first][0] < i:
                     return
                 work(i)
         except BaseException as exc:
-            errors.append(exc)
+            failed[first] = (i, exc)
 
     odd = threading.Thread(target=half, args=(1,), name="slopesize-helper")
     odd.start()
     half(0)
     odd.join()
-    if errors:
-        raise errors[0]
+    error = min(failed, key=lambda f: f[0])[1]
+    if error is not None:
+        raise error

@@ -430,7 +430,8 @@ class TestCacheCommand:
 # moved onto one stream pair (the critical-value lines did not move), and
 # the slope lines once more when slope runs came to be drawn from the law
 # of T, and the slope and exact-MC lines when chi-squares came from numpy's
-# gamma sampler
+# gamma sampler; the correlation Monte Carlo line once more when its trials
+# became two half-runs
 GOLDEN_STDOUT = [
     ("critval --n 30 --alpha 0.05 --method exact --seed 1 --fast",
      "n=30 alpha=0.05 value=0.397355 sd=0.012944 method=exact_mc\n"),
@@ -439,7 +440,7 @@ GOLDEN_STDOUT = [
     ("power --route slope --n 48 --lambda 0.5 --alpha 0.05 --seed 1 --fast",
      "n=48 alpha=0.05 lambda=0.5 power=0.89 sd=0.009894 route=slope\n"),
     ("power --route corr --mc --n 123 --rho 0.2873 --alpha 0.05 --seed 1 --fast",
-     "n=123 alpha=0.05 rho=0.2873 power=0.896 sd=0.009653 route=correlation-mc\n"),
+     "n=123 alpha=0.05 rho=0.2873 power=0.908 sd=0.00914 route=correlation-mc\n"),
     ("power --route fixed --A 0.5 --sxx 100 --sigma 1 --n 30 --alpha 0.05",
      "n=30 alpha=0.05 power=0.997897 route=fixed\n"),
     ("samplesize --route slope --alpha 0.10 --power 0.8 --lambda 0.6 --fast --seed 1",

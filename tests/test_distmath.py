@@ -9,6 +9,7 @@ normal CDF, 1e-10 for the t CDFs, 1e-9 (probability scale) for quantiles.
 
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +248,18 @@ class TestTQuantile:
             p = 10.0**-k
             want = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
             assert t_quantile(p, 2) == pytest.approx(want, rel=1e-12), p
+
+    def test_quantile_beyond_the_float_range_is_a_value_error(self):
+        # at df 1 the lower tail at -float max is 1/(pi * 1.8e308) = 1.77e-309;
+        # below it no float is the quantile, above it the quantile is finite
+        floor = t_cdf(-sys.float_info.max, 1)
+        assert floor == pytest.approx(1.0 / (math.pi * sys.float_info.max), rel=1e-13)
+        for p in (1e-310, 5e-324, 1.7e-309):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                t_quantile(p, 1)
+        assert t_quantile(floor, 1) == -sys.float_info.max
+        assert t_quantile(1.8e-309, 1) == pytest.approx(-1.768e308, rel=1e-3)
+        assert t_quantile(5e-324, 2) == pytest.approx(-1.0 / math.sqrt(2.0 * 5e-324), rel=1e-12)
 
     @pytest.mark.parametrize("df", [1, 3, 28, 598, 2400])
     def test_lower_tail_mirrors_upper(self, df):

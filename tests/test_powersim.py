@@ -28,7 +28,7 @@ from conftest import (
     run_reference_t1,
 )
 from slopesize import corroute, critvals, powersim, stochastics
-from slopesize.corroute import corr_t1_batch, lambda_to_rho, rho_to_lambda
+from slopesize.corroute import corr_power_mc, corr_t1_batch, lambda_to_rho, rho_to_lambda
 from slopesize.critvals import (
     EXACT_MC,
     CriticalValueCache,
@@ -56,10 +56,10 @@ from slopesize.stochastics import (
 SEED = 20260808
 
 # sha256 of the t values of runs of 2,000 trials at n = 300; a correlation
-# run reads 131 rows per block, so it spans three blocks of both streams
+# run reads 65 rows per block, so it spans five blocks of both streams
 KERNEL_PINS = {
     "slope": "be4a1db1c7df59908787d646565a547c05199cdff238ee713fa2593b52782936",
-    "corr": "5d589fce64e30178d4d4a2cde2ae0935e6a6f4cdbd364a054c829ac69108e13c",
+    "corr": "2862656aa945e2279bd7e93d1cddf4b9a01cf511a1679e73029185e4bffe687b",
 }
 
 
@@ -277,7 +277,7 @@ class TestSlopeTBatch:
         ids=["slope", "corr"],
     )
     def test_memory_bounded_at_large_n(self, batch):
-        # one chunk of draws holds at most 4096 x 64 variates per stream
+        # one chunk of draws holds at most 4096 x 32 variates per stream
         tracemalloc.start()
         try:
             batch()
@@ -286,7 +286,7 @@ class TestSlopeTBatch:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
-    @pytest.mark.parametrize("chunk", [1_000, 4096 * 64])
+    @pytest.mark.parametrize("chunk", [1_000, 4096 * 32])
     def test_blocked_moments_match_two_pass_fit(self, monkeypatch, chunk):
         # at the small chunk 100 trials read 10 observations per block
         monkeypatch.setattr(corroute, "_CHUNK_VARIATES", chunk)
@@ -317,25 +317,11 @@ class TestSlopeTBatch:
         ids=["slope", "corr"],
     )
     def test_three_block_runs_are_pinned(self, batch, name):
-        # the correlation run's noise blocks come from the helper thread;
-        # not a bit may move
         assert sha256(batch()) == KERNEL_PINS[name]
 
-    def test_values_hold_with_fast_thread_switches(self):
-        # the helper thread writes its noise sums into the caller's block;
-        # switching threads every microsecond must not move a bit
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t1 = corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sha256(t1) == KERNEL_PINS["corr"]
-
     def test_forked_child_gets_its_own_helper(self):
-        # the correlation kernel and the critical value use the helper
-        # thread, which a forked child lacks; a child that kept the parent's
-        # executor would wait on it forever
+        # the critical value uses a helper thread, which a forked child
+        # lacks; a child that waited on the parent's would hang
         want = forked_run_bytes()
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
@@ -353,11 +339,11 @@ class TestSlopeTBatch:
         assert got == want
 
     def test_kernel_leaves_no_thread_behind(self):
-        # the correlation kernel and an exact-MC miss each join every helper
+        # the correlation power and an exact-MC miss each join the helper
         # thread they start before they return
         before = threading.active_count()
         for run in range(50):
-            corr_t1_batch(20, 0.3, SEED, np.arange(run * 100, run * 100 + 100))
+            corr_power_mc(20, 0.3, 0.05, SimPlan(200, 1, run))
         critical_value_mc(30, 0.05, FORK_CV_PLAN)
         assert threading.active_count() == before
         assert_no_helper_alive()
@@ -380,8 +366,8 @@ class TestSlopeTBatch:
     @pytest.mark.parametrize("role", [200, 201], ids=["corr", "corr-noise"])
     def test_degenerate_trial_raises(self, constant_column, role):
         # a constant predictor column makes trial 3 (task id 7) degenerate
-        # (S_XX = 0), which fails the whole run; a constant noise column,
-        # drawn on the helper thread, leaves RSS <= 0
+        # (S_XX = 0), which fails the whole run; a constant noise column
+        # leaves RSS <= 0
         constant_column(3, role)
         with pytest.raises(SearchFailureError, match=r"task id 7 is degenerate at n=20 "):
             corr_t1_batch(20, 0.4, SEED, np.arange(4, 12))
@@ -691,49 +677,103 @@ class TestValidationBlocks:
         assert peak < 2 * block_bytes
 
 
-class TestKernelSplit:
-    """A lone correlation run draws its x blocks here and its z blocks on the helper."""
+class TestCorrPowerSplit:
+    """corr_power_mc draws its two half-runs as the two items of one split."""
 
-    def test_nested_kernel_is_pinned_and_leaves_no_thread(self):
-        # a lone run's per-block split, called inside both halves of another
-        # split, starts its own helper, moves no bit and joins it
-        before = threading.active_count()
-        runs = [None, None]
-        threads = set()
+    N, RHO, ALPHA = 300, 0.11, 0.05  # power about 0.5, so a moved split shows
+    PLAN = SimPlan(reps_inner=2_001, reps_outer=1, master_seed=SEED)
 
-        def run(i):
-            threads.add(threading.get_ident())
-            runs[i] = corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
+    def serial_power(self) -> str:
+        """The power in hex: |T1| > t counted over both half ranges, one after the other."""
+        crit = t_quantile(1.0 - 0.5 * self.ALPHA, self.N - 2)
+        reps = self.PLAN.reps_inner
+        rejected = sum(
+            int(np.count_nonzero(np.abs(corr_t1_batch(self.N, self.RHO, SEED, tasks)) > crit))
+            for tasks in (range(0, reps // 2), range(reps // 2, reps))
+        )
+        return (rejected / reps).hex()
 
-        stochastics._split_items(2, run)
-        assert len(threads) == 2
-        for t1 in runs:
-            assert sha256(t1) == KERNEL_PINS["corr"]
-        assert threading.active_count() == before
+    def power(self) -> str:
+        return corr_power_mc(self.N, self.RHO, self.ALPHA, self.PLAN).power.hex()
+
+    def test_power_counts_the_two_half_runs(self):
+        assert self.power() == self.serial_power()
+
+    def test_power_holds_with_fast_thread_switches(self):
+        # each half-run's result is written by its own thread; switching
+        # threads every microsecond must not move a bit
+        want = self.serial_power()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [self.power() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 3
+
+    def test_one_thread_per_power_and_none_per_run(self, monkeypatch):
+        started = []  # names of the threads started
+        real_start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        corr_t1_batch(self.N, self.RHO, SEED, np.arange(2_000))
+        assert started == []
+        self.power()
+        assert started == ["slopesize-helper"]
+
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_half_run_error_reaches_the_caller(self, monkeypatch, side):
+        # the half on task ids [0, 1000) runs here, [1000, 2001) on the helper
+        caller = threading.get_ident()
+        real = corroute.corr_t1_batch
+        raised_on = []  # list.append is safe on the helper thread
+        error = RuntimeError(side)
+
+        def failing(n, rho, master_seed, tasks):
+            if tasks[0] == (0 if side == "caller" else 1_000):
+                raised_on.append(threading.get_ident())
+                raise error
+            return real(n, rho, master_seed, tasks)
+
+        monkeypatch.setattr(corroute, "corr_t1_batch", failing)
+        with pytest.raises(RuntimeError) as raised:
+            self.power()
+        assert raised.value is error
+        assert (raised_on == [caller]) == (side == "caller")
         assert_no_helper_alive()
 
-    @pytest.mark.parametrize("side", ["caller", "helper"], ids=["x_block", "z_block"])
-    def test_lone_run_block_error_reaches_the_caller(self, monkeypatch, side):
-        # either block raising on the second of three blocks fails the run
-        # with that same error and leaves the helper idle
+    def test_first_half_names_the_trial_when_the_helper_fails_first(
+        self, monkeypatch, constant_column
+    ):
+        # trial 3 of each half is degenerate (task ids 3 and 1003); the
+        # caller's half waits until the helper's has raised and ended
+        constant_column(3, 200)
         caller = threading.get_ident()
-        real = corroute._fill_block
-        calls = []  # list.append is safe on the helper thread
-        error = RuntimeError("block 2 failed")
+        real = corroute.corr_t1_batch
+        helper_errors = []
 
-        def failing(gen, a, out):
-            mine = (threading.get_ident() == caller) == (side == "caller")
-            if mine:
-                calls.append(gen)
-                if len(calls) == 2:
-                    raise error
-            real(gen, a, out)
+        def delayed(n, rho, master_seed, tasks):
+            if threading.get_ident() == caller:
+                for thread in threading.enumerate():
+                    if thread.name.startswith("slopesize-helper"):
+                        thread.join(timeout=60)
+                        assert not thread.is_alive()
+                assert len(helper_errors) == 1
+                return real(n, rho, master_seed, tasks)
+            try:
+                return real(n, rho, master_seed, tasks)
+            except SearchFailureError as exc:
+                helper_errors.append(exc)
+                raise
 
-        monkeypatch.setattr(corroute, "_fill_block", failing)
-        with pytest.raises(RuntimeError) as raised:
-            corr_t1_batch(300, 0.3, SEED, np.arange(2_000))
-        assert raised.value is error
-        assert len(calls) == 2
+        monkeypatch.setattr(corroute, "corr_t1_batch", delayed)
+        with pytest.raises(SearchFailureError, match=r"task id 3 is degenerate at n=300 "):
+            self.power()
+        assert "task id 1003 " in str(helper_errors[0])
         assert_no_helper_alive()
 
 

@@ -233,6 +233,36 @@ class TestRekeyedStreams:
         assert split == serial
 
 
+class TestSplitErrors:
+    """_split_items raises the lowest-indexed failing item's error, whatever the timing."""
+
+    @pytest.mark.parametrize(
+        "failing, ran, raised",
+        [((3,), [0, 1, 2, 3], 3), ((4, 5), [0, 1, 2, 3, 4, 5], 4)],
+        ids=["helper_only", "both_halves"],
+    )
+    def test_lowest_failing_item_wins_though_the_helper_fails_first(self, failing, ran, raised):
+        # item 0 waits until the helper has failed and ended; the caller
+        # still draws its items below the helper's failure, and none above
+        errors = {i: RuntimeError(f"item {i}") for i in failing}
+        called = []  # list.append is safe on the helper thread
+
+        def work(i: int) -> None:
+            if i == 0:
+                for thread in threading.enumerate():
+                    if thread.name.startswith("slopesize-helper"):
+                        thread.join(timeout=60)
+                        assert not thread.is_alive()
+            called.append(i)
+            if i in errors:
+                raise errors[i]
+
+        with pytest.raises(RuntimeError) as got:
+            _split_items(8, work)
+        assert got.value is errors[raised]
+        assert sorted(called) == ran
+
+
 def _sha256(arr: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
