@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Speed of exact-MC critical values, the kernel and the search, before and after a change.
 
-Measures eight layers, each in a fresh process per side and pair, with the
+Measures nine layers, each in a fresh process per side and pair, with the
 sides alternating (ABAB, then BABA) so that drift of the host's speed falls
 on both:
 
   chisq       microseconds of CPU per 10,000 chi-square variates
               (stochastics.chisq_array) at df 1, 29, 48 and 2400, and per
               call of 1,000 variates, the size of one slope run;
+  t2          microseconds of CPU per 10,000 draws of the ratio law of T^2
+              (exactnull.t2_null_draws, keyed StreamKey(1, k)) at n = 5,
+              30, 100 and 2400;
   streams     microseconds of CPU to open one keyed stream (one
               stochastics.normal_array call of one variate, its StreamKey
               built beforehand), and per slope run of 400 and of 1,000
@@ -96,7 +99,9 @@ DEFAULT_OUT = ROOT / "BENCH_critval.json"
 
 CHISQ_DFS = (1, 29, 48, 2400)
 CHISQ_RUN_SIZE = 1_000  # the chisq layer's second size: one slope run's variates per stream
-CHISQ_LAYERS = ("chisq_us_per_10k", "chisq_us_per_1k")
+T2_NS = (5, 30, 100, 2400)
+# per-df or per-n microsecond layers
+DRAW_LAYERS = ("chisq_us_per_10k", "chisq_us_per_1k", "t2_us_per_10k")
 STREAM_RUN_TRIALS = (400, 1_000)  # a slope run's trials: criterion 8's plan and the default
 CRITVAL_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", "--seed", "1"]
 SEARCH_ARGV = ["samplesize", "--route", "slope", "--lambda", "0.5", "--alpha", "0.05",
@@ -259,20 +264,34 @@ def scout_searches(sizes: dict) -> tuple[int, float, float, str]:
     return len(drawn), cpu, wall, out
 
 
-def chisq_us(sizes: dict, size: int) -> dict:
-    """Least CPU microseconds per chisq_array call of size variates, per df."""
-    from slopesize.stochastics import StreamKey, chisq_array
-
+def least_us(sizes: dict, params, draw) -> dict:
+    """Least CPU microseconds per draw(k, p) call over chisq_keys keys k, per p in params."""
     best = {}
-    for df in CHISQ_DFS:
+    for p in params:
         per_call = []
         for _ in range(sizes["chisq_repeats"]):
             start = time.process_time()
             for k in range(sizes["chisq_keys"]):
-                chisq_array(StreamKey(1, k, 0), df, size)
+                draw(k, p)
             per_call.append((time.process_time() - start) / sizes["chisq_keys"] * 1e6)
-        best[str(df)] = min(per_call)
+        best[str(p)] = min(per_call)
     return best
+
+
+def chisq_us(sizes: dict, size: int) -> dict:
+    """Least CPU microseconds per chisq_array call of size variates, per df."""
+    from slopesize.stochastics import StreamKey, chisq_array
+
+    return least_us(sizes, CHISQ_DFS, lambda k, df: chisq_array(StreamKey(1, k, 0), df, size))
+
+
+def t2_us(sizes: dict) -> dict:
+    """Least CPU microseconds per t2_null_draws call of chisq_size draws, per n."""
+    from slopesize.exactnull import t2_null_draws
+    from slopesize.stochastics import StreamKey
+
+    return least_us(sizes, T2_NS,
+                    lambda k, n: t2_null_draws(StreamKey(1, k), n, sizes["chisq_size"]))
 
 
 def streams_us(sizes: dict) -> dict:
@@ -307,6 +326,7 @@ def measure(sizes: dict) -> dict:
     scale = 10_000 / sizes["chisq_size"]
     chisq = {df: round(us * scale, 1) for df, us in chisq_us(sizes, sizes["chisq_size"]).items()}
     chisq_run = {df: round(us, 1) for df, us in chisq_us(sizes, CHISQ_RUN_SIZE).items()}
+    t2 = {n: round(us * scale, 1) for n, us in t2_us(sizes).items()}
     streams = streams_us(sizes)
 
     critval_s, critval_wall, critval_out = run_cli(cli, CRITVAL_ARGV + sizes["reps"])
@@ -325,6 +345,7 @@ def measure(sizes: dict) -> dict:
     return {
         "chisq_us_per_10k": chisq,
         "chisq_us_per_1k": chisq_run,
+        "t2_us_per_10k": t2,
         "streams": streams,
         "critval_request_s": round(critval_s, 3),
         "critval_request_wall_s": round(critval_wall, 3),
@@ -440,7 +461,7 @@ def finish(report: dict, sides: dict, runs: dict, outputs: dict, median, change,
 def _median(runs: list[dict]) -> dict:
     return {
         **{layer: {df: round(statistics.median(r[layer][df] for r in runs), 1)
-                   for df in runs[0][layer]} for layer in CHISQ_LAYERS},
+                   for df in runs[0][layer]} for layer in DRAW_LAYERS},
         "streams": {key: round(statistics.median(r["streams"][key] for r in runs), 2)
                     for key in runs[0]["streams"]},
         **{key: round(statistics.median(r[key] for r in runs), 3) for key in TIMES},
@@ -455,7 +476,7 @@ def _change(before: dict, after: dict) -> dict:
 
     return {
         **{layer: {df: rel(before[layer][df], after[layer][df]) for df in before[layer]}
-           for layer in CHISQ_LAYERS},
+           for layer in DRAW_LAYERS},
         "streams": {key: rel(before["streams"][key], after["streams"][key])
                     for key in before["streams"]},
         **{key: rel(before[key], after[key])
@@ -480,8 +501,8 @@ def main(argv=None) -> int:
     sides, runs, outputs, identical = compare(
         Path(__file__).resolve(), args.baseline, pairs, args.quick)
     report = {
-        "benchmark": "exact-MC critical values: chi-square sampler, keyed streams and slope "
-                     "runs, one critval request, "
+        "benchmark": "exact-MC critical values: chi-square sampler, ratio-law draws, keyed "
+                     "streams and slope runs, one critval request, "
                      "critical values inside one slope search, three levels at one n; "
                      "replicate kernel: corr_power_mc at the 72 table cells; "
                      "a memo-hit critval request in process; "
@@ -490,6 +511,7 @@ def main(argv=None) -> int:
                  "sides alternating; *_wall_s fields are time.perf_counter",
         "quick": args.quick,
         "sizes": {**sizes, "chisq_dfs": list(CHISQ_DFS), "chisq_run_size": CHISQ_RUN_SIZE,
+                  "t2_ns": list(T2_NS),
                   "stream_run_trials": list(STREAM_RUN_TRIALS),
                   "corrmc_cells": len(CORR_CELLS),
                   "scout_cells": [list(cell) for cell in SCOUT_CELLS]},
@@ -509,6 +531,7 @@ def main(argv=None) -> int:
                                "critval_plan=SimPlan(*scouts_critval, 1)) "
                                "per cell (lam, alpha, target, seed) of scout_cells"},
         "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys",
+                  "t2": "StreamKey(1, k), k < chisq_keys",
                   "streams": "StreamKey(1, k, 0), k < stream_keys; slope runs at seed 1, "
                              "task base k * trials, k < stream_runs",
                   "critval": 1, "search": 1,

@@ -161,6 +161,12 @@ def t_cdf(x: float, df: int) -> float:
     I_{df/(df+x^2)}(df/2, 1/2) / 2, so a small value keeps its relative
     accuracy. Where x^2 overflows, the tail integral is its leading term
     (sqrt(df) / |x|)^df / (df B(df/2, 1/2)), taken from |x|.
+
+    Accuracy at large df, against mpmath on x from -8 to 8: the lower
+    tail's relative error grows with df, to below 1e-10 at df 1e6, 1e-9 at
+    1e7 and about 1.1e-7 at 1e9 (near x = -1.8). The absolute error stays
+    below 1e-10 up to df 1e7, which covers every df a default search reaches
+    (n_ceiling 1e6), and is about 4e-9 at df 1e9.
     """
     df = _check_df(df)
     if not math.isfinite(x):

@@ -8,7 +8,11 @@ of the four-factor ratio law
     T^2  ~  (n-2)/(n-1) * W1*W4 / (W2*W3)
 
 with independent W1 ~ chi2(1), W2 ~ chi2(n-1), W3 ~ chi2(n-2), W4 ~ chi2(n-1).
-W1 is drawn as Z^2 for a standard normal Z; W2-W4 by chisq_array.
+It is drawn with three variates, not four: W1 as Z^2 for a standard normal
+Z, W4 by chisq_array, and W2*W3 as (C/2)^2 for one C ~ chi2(2n-4). By
+Legendre's duplication formula E[(W2*W3)^s] = Gamma(n-2+2s)/Gamma(n-2) =
+E[(C/2)^(2s)], and positive variables with equal Mellin transforms have
+equal laws.
 This law is free of every model parameter, but it is not the null law of T^2
 on data: it treats W2 and W4 as independent, while in data the slope error
 and the predictor-variance estimate share one S_XX, which cancels. Under
@@ -37,8 +41,8 @@ __all__ = [
     "expected_t2",
 ]
 
-# stream roles of the normal Z (W1 = Z^2) and the chi-square factors W2-W4
-_W1, _W2, _W3, _W4 = 0, 1, 2, 3
+# stream roles of the normal Z (W1 = Z^2), W4 and C (W2*W3 = (C/2)^2)
+_Z, _W4, _C = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -74,22 +78,23 @@ def t2_null_draws(key: StreamKey, n: int, size: int) -> np.ndarray:
     This is the law tabulated in the paper's Table 1, not the data null law
     (under which T * sqrt(n-1) ~ t(n-2)); see the module docstring.
 
-    The factors come from stream roles 0-3 of the key's (master_seed,
-    task_id) pair: role 0 gives standard normals Z, squared into W1 ~ chi2(1),
-    and roles 1-3 give W2, W3 and W4 from chisq_array. The key's own
-    stream_id is ignored.
+    Each draw is T^2 = 4(n-2)/(n-1) * Z^2 * W4 / C^2, which has the law of
+    (n-2)/(n-1) * W1*W4 / (W2*W3) because W2*W3 has the law of (C/2)^2. The
+    variates come from stream roles 0-2 of the key's (master_seed, task_id)
+    pair: role 0 gives standard normals Z, role 1 W4 ~ chi2(n-1) and role 2
+    C ~ chi2(2n-4), the last two from chisq_array. The key's own stream_id
+    is ignored.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n!r}")
-    w1 = normal_array(key.with_stream(_W1), size)
-    w1 *= w1
-    w2 = chisq_array(key.with_stream(_W2), n - 1, size)
-    w3 = chisq_array(key.with_stream(_W3), n - 2, size)
+    t2 = normal_array(key.with_stream(_Z), size)
+    t2 *= t2
     w4 = chisq_array(key.with_stream(_W4), n - 1, size)
-    w1 *= (n - 2) / (n - 1)
-    w1 *= w4
-    w1 /= np.multiply(w2, w3, out=w2)  # (n-2)/(n-1) * w1 * w4 / (w2 * w3)
-    return w1
+    c = chisq_array(key.with_stream(_C), 2 * n - 4, size)
+    t2 *= 4.0 * (n - 2) / (n - 1)
+    t2 *= w4
+    t2 /= np.multiply(c, c, out=c)  # 4(n-2)/(n-1) * z^2 * w4 / c^2
+    return t2
 
 
 def beta1hat_density(b: float, n: int, params: ModelParams) -> float:

@@ -35,7 +35,9 @@ Stream-id allocation (kept globally unique so a single master seed can drive
 every routine without collisions between subsystems):
 
     0         standard normal Z of the null T^2 ratio, W1 = Z^2
-    1-3       chi-square factors W2..W4 of the null T^2 ratio
+    1-2       chi-squares of the null T^2 ratio: W4 ~ chi2(n - 1) and
+              C ~ chi2(2n - 4), drawn for W2*W3 as (C/2)^2
+    3         not read (the ratio's former W4; retired, not to be reused)
     100-101   not read (the predictor and noise blocks of the slope
               route's former data simulation)
     102       S_XX ~ chi2(n - 1) of a slope-power run (first task id)

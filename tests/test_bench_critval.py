@@ -32,6 +32,9 @@ def test_quick_run_writes_every_key(tmp_path):
     assert "before" not in report and "change" not in report
     (run,) = report["after"]["runs"]
     assert set(run["chisq_us_per_10k"]) == set(run["chisq_us_per_1k"]) == {"1", "29", "48", "2400"}
+    assert set(run["t2_us_per_10k"]) == set(report["after"]["median"]["t2_us_per_10k"]) == {
+        "5", "30", "100", "2400"}
+    assert all(us > 0.0 for us in run["t2_us_per_10k"].values())
     assert set(run["streams"]) == set(report["after"]["median"]["streams"]) == {
         "open_us", "run_us_400", "run_us_1000"}
     assert all(us > 0.0 for us in run["streams"].values())

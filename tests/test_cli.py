@@ -431,10 +431,11 @@ class TestCacheCommand:
 # the slope lines once more when slope runs came to be drawn from the law
 # of T, and the slope and exact-MC lines when chi-squares came from numpy's
 # gamma sampler; the correlation Monte Carlo line once more when its trials
-# became two half-runs
+# became two half-runs; and the slope and exact-MC lines when the ratio law's
+# W2*W3 came to be drawn as one squared chi-square
 GOLDEN_STDOUT = [
     ("critval --n 30 --alpha 0.05 --method exact --seed 1 --fast",
-     "n=30 alpha=0.05 value=0.397355 sd=0.012944 method=exact_mc\n"),
+     "n=30 alpha=0.05 value=0.398425 sd=0.014139 method=exact_mc\n"),
     ("critval --n 30 --alpha 0.05 --method normal",
      "n=30 alpha=0.05 value=0.391434 sd=0.0 method=normal_approx\n"),
     ("power --route slope --n 48 --lambda 0.5 --alpha 0.05 --seed 1 --fast",
@@ -444,7 +445,7 @@ GOLDEN_STDOUT = [
     ("power --route fixed --A 0.5 --sxx 100 --sigma 1 --n 30 --alpha 0.05",
      "n=30 alpha=0.05 power=0.997897 route=fixed\n"),
     ("samplesize --route slope --alpha 0.10 --power 0.8 --lambda 0.6 --fast --seed 1",
-     "n=22 target_power=0.8 validated_mean=0.80128 validated_sd=0.012654 route=slope\n"),
+     "n=22 target_power=0.8 validated_mean=0.80164 validated_sd=0.0126 route=slope\n"),
     ("samplesize --route corr --lambda 0.5 --alpha 0.05 --power 0.90",
      "n=48 target_power=0.9 rho=0.447214 power_at_n=0.902721 route=correlation\n"),
 ]

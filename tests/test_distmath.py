@@ -11,6 +11,7 @@ import math
 import statistics
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,33 @@ class TestTCdf:
                 assert t_cdf(signed, df) == pytest.approx(
                     float(scipy_stats.t.cdf(signed, df)), abs=1e-10
                 ), signed
+
+    # x grid of the large-df accuracy checks, fixed before the run; -1.8 is
+    # about where the error peaks at df 10^9
+    LARGE_DF_XS = (-8.0, -6.0, -4.0, -3.0, -2.0, -1.8, -1.28155, -1.0, -0.5, -0.1,
+                   0.1, 0.5, 1.0, 1.28155, 2.0, 4.0, 8.0)
+
+    @staticmethod
+    def mpmath_t_cdf(x: float, df: int):
+        """The t CDF at 30 digits: I_{df/(df+x^2)}(df/2, 1/2) / 2 below 0."""
+        with mpmath.workdps(30):
+            x, df = mpmath.mpf(x), mpmath.mpf(df)
+            tail = mpmath.betainc(df / 2, 0.5, 0, df / (df + x * x), regularized=True) / 2
+            return tail if x < 0 else 1 - tail
+
+    # the bounds stated in t_cdf's docstring: lower-tail relative, absolute
+    @pytest.mark.parametrize("df, rel_bound, abs_bound", [
+        (10**6, 1e-10, 1e-10),
+        (10**7, 1e-9, 1e-10),
+        (10**9, 2e-7, 1e-8),
+    ])
+    def test_accuracy_against_mpmath_at_large_df(self, df, rel_bound, abs_bound):
+        for x in self.LARGE_DF_XS:
+            want = self.mpmath_t_cdf(x, df)
+            got = t_cdf(x, df)
+            assert abs(got - want) <= abs_bound, x
+            if x < 0.0:
+                assert abs(got - want) / want <= rel_bound, x
 
     def test_normal_limit(self):
         for x in (-2.0, -0.5, 1.0, 2.5):

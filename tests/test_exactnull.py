@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from slopesize import exactnull
 from slopesize.exactnull import (
     ModelParams,
     beta1hat_density,
@@ -16,12 +17,23 @@ from slopesize.exactnull import (
     scaled_t_transform,
     t2_null_draws,
 )
-from slopesize.stochastics import StreamKey
+from slopesize.stochastics import StreamKey, chisq_array, normal_array
 
 from conftest import ratio_law_cdf, row_moments
 
 SEED = 20260808
 PARAMS = ModelParams(beta0=0.0, beta1=0.0, mu_x=0.0, sigma_x=1.0, sigma_eps=1.0)
+
+
+def four_factor_draws(key: StreamKey, n: int, size: int) -> np.ndarray:
+    """(n-2)/(n-1) * Z^2 * W4 / (W2*W3) with W2, W3 and W4 each drawn on its
+    own stream role; the ratio law as tabulated, the reference for the
+    three-variate draw."""
+    z = normal_array(key.with_stream(0), size)
+    w2 = chisq_array(key.with_stream(1), n - 1, size)
+    w3 = chisq_array(key.with_stream(2), n - 2, size)
+    w4 = chisq_array(key.with_stream(3), n - 1, size)
+    return (n - 2) / (n - 1) * z * z * w4 / (w2 * w3)
 
 
 def simulate_beta1hat(n: int, reps: int, params: ModelParams, seed: int) -> np.ndarray:
@@ -65,8 +77,46 @@ class TestT2NullDraws:
         assert t2_null_draws(key, 30, 1)[0] == t2_null_draws(key, 30, 1)[0]
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            t2_null_draws(StreamKey(SEED, 0), 2, 1)
+        for n in (-1, 0, 1, 2):
+            with pytest.raises(ValueError):
+                t2_null_draws(StreamKey(SEED, 0), n, 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 30, 2_400])
+    def test_ks_against_four_factor_draws(self, n):
+        # W2*W3 drawn as (C/2)^2 with C ~ chi2(2n-4) has the law of the
+        # product of independent chi2(n-1) and chi2(n-2); bound p > 1e-3
+        draws = t2_null_draws(StreamKey(SEED, 70 + n), n, 10**5)
+        reference = four_factor_draws(StreamKey(SEED + 1, 70 + n), n, 10**5)
+        assert stats.ks_2samp(draws, reference).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_roles_and_duplication_mean(self, n):
+        # roles 0-2 hold Z, W4 and C; (C/2)^2 has mean E[W2*W3] = (n-1)(n-2),
+        # within k = 4 standard errors
+        key, size = StreamKey(SEED, 80 + n), 10**6
+        z = normal_array(key.with_stream(0), size)
+        w4 = chisq_array(key.with_stream(1), n - 1, size)
+        c = chisq_array(key.with_stream(2), 2 * n - 4, size)
+        want = 4.0 * (n - 2) / (n - 1) * z * z * w4 / (c * c)
+        assert np.allclose(t2_null_draws(key, n, size), want, rtol=1e-13, atol=0.0)
+        product = (0.5 * c) ** 2
+        se = product.std(ddof=1) / math.sqrt(size)
+        assert abs(product.mean() - (n - 1) * (n - 2)) < 4.0 * se
+
+    def test_three_variates_per_draw(self, monkeypatch):
+        calls = []
+
+        def counted(name, draw):
+            def wrapper(*args):
+                calls.append(name)
+                return draw(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(exactnull, "normal_array", counted("normal", normal_array))
+        monkeypatch.setattr(exactnull, "chisq_array", counted("chisq", chisq_array))
+        t2_null_draws(StreamKey(SEED, 4), 30, 1_000)
+        assert sorted(calls) == ["chisq", "chisq", "normal"]
 
     def test_mean_matches_closed_form(self):
         n = 30

@@ -457,16 +457,16 @@ class TestSamplerLaw:
 
 # (lam, alpha, target, power plan, critical-value plan) and the search result
 # (n, validated_mean.hex(), validated_sd.hex()), recorded with each run drawn
-# from the law of T and chi-squares from numpy's gamma sampler; memoized runs
-# must not move a bit
+# from the law of T, chi-squares from numpy's gamma sampler and the ratio
+# law's W2*W3 from one squared chi-square; memoized runs must not move a bit
 GOLDEN_SEARCHES = [
     (
         (0.6, 0.10, 0.80, SimPlan(1_000, 60, SEED), SimPlan(2_000, 10, SEED)),
-        (22, "0x1.9b4a2339c0ebfp-1", "0x1.bc75471950c52p-7"),
+        (22, "0x1.9ba184d8d09f6p-1", "0x1.b66242121450dp-7"),
     ),
     (
         (0.6, 0.10, 0.90, SimPlan(500, 55, SEED + 2), SimPlan(1_000, 10, SEED)),
-        (29, "0x1.cc2f837b4a233p-1", "0x1.a9c4ec0ba9880p-7"),
+        (29, "0x1.caeb6885c0c5ep-1", "0x1.b9ee965b2e5e5p-7"),
     ),
 ]
 

@@ -271,10 +271,11 @@ class TestSamplerBits:
     """Seeded sampler output, byte for byte.
 
     Captured on numpy 2.4.6, with chi-squares from Generator.chisquare and
-    the ratio law's W1 drawn as Z^2; every cached critical value depends on
-    these bytes, and they move if numpy changes its gamma or normal
-    algorithm. df 1 is shape 1/2 (numpy's shape < 1 rejection), df 2 shape
-    1 (an exponential), and df 3, 29 and 2400 take Marsaglia-Tsang.
+    the ratio law drawn as 4(n-2)/(n-1) * Z^2 * W4 / C^2; every cached
+    critical value depends on these bytes, and they move if numpy changes
+    its gamma or normal algorithm. df 1 is shape 1/2 (numpy's shape < 1
+    rejection), df 2 shape 1 (an exponential), and df 3, 29 and 2400 take
+    Marsaglia-Tsang.
     """
 
     @pytest.mark.parametrize(
@@ -292,13 +293,13 @@ class TestSamplerBits:
 
     def test_t2_null_draws(self):
         assert _sha256(t2_null_draws(StreamKey(SEED, 7), 30, 10_000)) == (
-            "a21c8d9b35f0f222ad643aaa6ad68a3efd56ca3f2712419ab840c22603d7b0eb"
+            "3bab342517ea0d2e178d2e7a0b59dd5e5ba3cdf54d128bcf34f9e7722dcbf64a"
         )
 
     def test_critical_value_mc(self):
         est = critical_value_mc(30, 0.05, SimPlan(10_000, 20, SEED))
-        assert est.value.hex() == "0x1.98fe878096143p-2"
-        assert est.sd.hex() == "0x1.d82aae45d7990p-9"
+        assert est.value.hex() == "0x1.9829ba134687ep-2"
+        assert est.sd.hex() == "0x1.d753b9e45609dp-9"
 
     def test_v_nonpositive_is_rejected(self):
         # this key's normals reach below -sqrt(6), where a Marsaglia-Tsang
