@@ -403,6 +403,7 @@ def machine() -> dict:
 
 
 def _child(script: Path, src: Path, quick: bool) -> dict:
+    # a --baseline tree from before the cache file's removal still reads SLOPESIZE_CACHE
     env = {k: v for k, v in os.environ.items() if k not in ("SLOPESIZE_CACHE", "SLOPESIZE_SEED")}
     env["PYTHONPATH"] = str(src)
     argv = [sys.executable, str(script), "--child"]

@@ -4,7 +4,8 @@
 At the full replication counts (10,000 x 1,000 critical values; 1,000-trial
 power estimates validated over 1,000 runs) the whole run takes on the order
 of an hour; pass --fast for a desk-scale pass with reduced outer counts (a
-few minutes).
+few minutes). Critical values are kept in memory for one run only, so
+every run draws them afresh.
 
 Usage:
     python scripts/reproduce_tables.py --out tables/ [--fast] [--seed N]
@@ -31,7 +32,6 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = out_dir / "critval_cache.txt"
     ext = {"csv": "csv", "markdown": "md", "json": "jsonl"}[args.format]
 
     which = args.only or range(1, 8)
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         argv_table = [
             "table", "--which", str(table_id), "--seed", str(args.seed),
-            "--format", args.format, "--out", str(dest), "--cache-path", str(cache),
+            "--format", args.format, "--out", str(dest),
         ]
         if args.fast:
             argv_table.append("--fast")

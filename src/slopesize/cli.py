@@ -7,12 +7,13 @@ power       power at a given n (slope simulation, correlation test, or
             fixed-design noncentral t)
 samplesize  required n for a target power (slope or correlation route)
 table       regenerate one of the seven standard tables as csv/markdown/json
-cache       inspect or clear the critical-value cache
 
 Every command is deterministic given --seed; when the flag is omitted a
 seed is drawn from entropy and echoed (on stderr) so the run can be
-replayed. SLOPESIZE_SEED and SLOPESIZE_CACHE provide environment defaults
-for the seed and cache path; flags take precedence.
+replayed. SLOPESIZE_SEED provides an environment default for the seed; the
+flag takes precedence. Exact-MC critical values come from critvals'
+in-process store or a fresh draw, never from a file, so they are reused
+only by later calls of main in the same process.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or search failure.
 
@@ -39,7 +40,6 @@ from .distmath import NonConvergenceError, fixed_design_power
 from .stochastics import SimPlan
 
 SEED_ENV = "SLOPESIZE_SEED"
-CACHE_ENV = "SLOPESIZE_CACHE"
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -70,11 +70,6 @@ def _resolve_seed(args) -> int:
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
     return secrets.randbits(63)
-
-
-def _resolve_cache(args) -> critvals.CriticalValueCache | None:
-    path = getattr(args, "cache_path", None) or os.environ.get(CACHE_ENV)
-    return critvals.CriticalValueCache(path) if path else None
 
 
 def _plans(args) -> tuple[int, SimPlan, SimPlan]:
@@ -134,6 +129,19 @@ def render_rows(rows: list[dict], columns: list[str], fmt: str, rounding: dict) 
     raise UsageError(f"unknown format {fmt!r}")
 
 
+def _check_writable(out_path: str | None) -> None:
+    """Raise UsageError unless out_path (None or "-" is stdout) can be written.
+
+    A table takes minutes to draw, so `table` checks its --out before any draw.
+    """
+    if out_path is None or out_path == "-":
+        return
+    parent = os.path.dirname(os.path.abspath(out_path))
+    target = out_path if os.path.exists(out_path) else parent
+    if os.path.isdir(out_path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write --out {out_path}")
+
+
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
@@ -143,7 +151,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def build_table(
-    which: int, cv_plan: SimPlan, pw_plan: SimPlan, cache, power_rows: dict | None = None
+    which: int, cv_plan: SimPlan, pw_plan: SimPlan, power_rows: dict | None = None
 ) -> tuple[list[dict], list[str], dict]:
     """Rows, column order, and display rounding for one standard table.
 
@@ -153,7 +161,7 @@ def build_table(
     calls, so tables 2 and 5 (3 and 6, 4 and 7) search each cell once.
     """
     if which == 1:
-        rows = critvals.table1(range(20, 101), cv_plan, cache)
+        rows = critvals.table1(range(20, 101), cv_plan)
         rounding = {c: ".3f" for c in critvals.TABLE1_COLUMNS if c != "samplesize"}
         return rows, critvals.TABLE1_COLUMNS, rounding
     alpha = TABLE_ALPHAS[which]
@@ -161,8 +169,7 @@ def build_table(
     key = (alpha, cv_plan, pw_plan)
     if key not in searched:
         searched[key] = powersim.power_table(
-            alpha, DEFAULT_LAMBDAS, DEFAULT_TARGETS, pw_plan,
-            cache=cache, critval_plan=cv_plan,
+            alpha, DEFAULT_LAMBDAS, DEFAULT_TARGETS, pw_plan, critval_plan=cv_plan
         )
     if which in (2, 3, 4):
         cols = ["lambda", "power", "n", "mean", "sd"]
@@ -192,7 +199,7 @@ def cmd_critval(args) -> int:
     if args.method == "normal":
         est = critvals.critical_value_normal(args.n, args.alpha)
     else:
-        est = critvals.cached_critical_value(args.n, args.alpha, cv_plan, _resolve_cache(args))
+        est = critvals.cached_critical_value(args.n, args.alpha, cv_plan)
     _print_fields(
         {"n": est.n, "alpha": est.alpha, "value": round(est.value, 6),
          "sd": round(est.sd, 6), "method": est.method},
@@ -216,7 +223,7 @@ def cmd_power(args) -> int:
         if args.lam is None:
             raise UsageError("--route slope needs --lambda")
         powersim.check_slope_power_args(args.n, args.lam)
-        c = critvals.cached_critical_value(args.n, args.alpha, cv_plan, _resolve_cache(args))
+        c = critvals.cached_critical_value(args.n, args.alpha, cv_plan)
         est = powersim.simulate_power_slope(
             args.n, args.lam, args.alpha, c, pw_plan.reps_inner, seed
         )
@@ -252,11 +259,8 @@ def cmd_samplesize(args) -> int:
     if args.route == "slope":
         if args.lam is None:
             raise UsageError("--route slope needs --lambda (the slope-test effect size)")
-        if args.lam == 0.0:
-            raise UsageError("effect size must be nonzero")
         res = powersim.find_sample_size_slope(
-            args.lam, args.alpha, args.power, pw_plan,
-            cache=_resolve_cache(args), critval_plan=cv_plan,
+            args.lam, args.alpha, args.power, pw_plan, critval_plan=cv_plan
         )
         fields = {"n": res.n, "target_power": res.target_power,
                   "validated_mean": round(res.validated_mean, 6),
@@ -276,30 +280,13 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _check_writable(args.out)
     seed, cv_plan, pw_plan = _plans(args)
     t0 = time.perf_counter()
-    rows, cols, rounding = build_table(
-        args.which, cv_plan, pw_plan, _resolve_cache(args), args.power_rows
-    )
+    rows, cols, rounding = build_table(args.which, cv_plan, pw_plan, args.power_rows)
     text = render_rows(rows, cols, args.format, rounding)
     _write_output(text, args.out)
     _echo(f"table {args.which}: {len(rows)} rows in {time.perf_counter() - t0:.1f}s")
-    return 0
-
-
-def cmd_cache(args) -> int:
-    cache = _resolve_cache(args)
-    if cache is None:
-        raise UsageError(f"no cache path given (use --cache-path or {CACHE_ENV})")
-    if args.action == "clear":
-        cache.path.unlink(missing_ok=True)
-        _echo(f"cleared {cache.path}")
-        return 0
-    records = cache._load()
-    print(f"{cache.path}: {len(records)} records")
-    for (n, alpha, inner, outer, seed), (value, sd) in sorted(records.items()):
-        print(f"  n={n} alpha={alpha} inner={inner} outer={outer} seed={seed} "
-              f"value={value:.6f} sd={sd:.6f}")
     return 0
 
 
@@ -315,7 +302,6 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--reps-outer", type=int, default=None, help="sets BOTH the critical-value "
                    "replicates and the power validation runs")
     p.add_argument("--format", choices=formats, default=formats[0])
-    p.add_argument("--cache-path", default=None, help="critical-value cache file")
 
 
 @functools.cache
@@ -363,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     _add_common(p, formats=("csv", "markdown", "json"))
     p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("cache", help="inspect or clear the critical-value cache")
-    p.add_argument("action", choices=["show", "clear"])
-    p.add_argument("--cache-path", default=None)
-    p.set_defaults(func=cmd_cache)
 
     return parser
 

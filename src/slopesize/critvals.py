@@ -15,18 +15,17 @@ conservative (size about 0.040 at alpha = 0.05, n = 30).
 
 One pending draw, _PendingDraw, serves every exact-MC value: the CLI,
 Table 1 and critical_value_mc through critical_values_mc_multi, and the
-sample-size search directly. It reads the optional text-file cache (keyed
-on n, alpha, reps_inner, reps_outer, master_seed), which is parsed afresh on
-every lookup, then the process's one in-process store (_MC_MEMO, keyed by
-(n, alpha, plan), holding only the plan drawn last), and only then draws.
-A draw also estimates the paper's three levels (TABLE1_LEVELS), so one set
-of draws at (n, plan) serves every level. The outer replicates are items of
-a stochastics._split_items call: the caller draws the even ones and a
-helper thread, started and joined by that call, the odd ones. The search
-puts a miss's replicates in the same split as a block of validation runs,
-ahead of them. Each replicate reads only its own keyed streams, so the
-split moves no bit. The memo lives only as long as the process, so it can
-never be stale; the file carries values across processes.
+sample-size search directly. It reads the process's one in-process store
+(_MC_MEMO, keyed by (n, alpha, plan), holding only the plan drawn last) and
+draws only on a miss. A draw also estimates the paper's three levels
+(TABLE1_LEVELS), so one set of draws at (n, plan) serves every level. The
+outer replicates are items of a stochastics._split_items call: the caller
+draws the even ones and a helper thread, started and joined by that call,
+the odd ones. The search puts a miss's replicates in the same split as a
+block of validation runs, ahead of them. Each replicate reads only its own
+keyed streams, so the split moves no bit. The memo lives only as long as the process, so it can
+never be stale. A caller may also pass a CriticalValueCache, read before
+the store; no command does, and its two remaining callers are named there.
 """
 
 from __future__ import annotations
@@ -147,8 +146,10 @@ def critical_values_mc_multi(
     levels share draws and the result for each alpha is identical to a
     standalone critical_value_mc call with the same plan.
 
-    Each level is served, in order, from the cache file when it holds the
-    key, else from the estimates kept in process for the plan drawn last.
+    Each level is served, in order, from the cache file when one is passed
+    (only the benchmark's slope_search and the tests' session_cache pass
+    one) and holds the key, else from the estimates kept in process for the
+    plan drawn last.
     If any level is in neither, the replicate loop runs once for those
     levels together with TABLE1_LEVELS and every estimate it makes is kept.
     Each asked level the file lacked is then appended to it. A helper
@@ -180,13 +181,13 @@ def critical_value_normal(n: int, alpha: float) -> CriticalValueEstimate:
     return CriticalValueEstimate(n=n, alpha=alpha, value=value, sd=0.0, method=NORMAL_APPROX)
 
 
-def table1(n_values, plan: SimPlan, cache: CriticalValueCache | None = None) -> list[dict]:
+def table1(n_values, plan: SimPlan) -> list[dict]:
     """Rows of the critical-value table (both methods, levels 10/5/1 percent)."""
     rows = []
     for n in n_values:
         if not 5 <= n <= 10**6:
             raise ValueError(f"table rows need 5 <= n <= 1e6, got {n!r}")
-        exact = critical_values_mc_multi(n, list(TABLE1_LEVELS), plan, cache)
+        exact = critical_values_mc_multi(n, list(TABLE1_LEVELS), plan)
         rows.append(
             {
                 "samplesize": n,
@@ -203,6 +204,11 @@ def table1(n_values, plan: SimPlan, cache: CriticalValueCache | None = None) -> 
 
 class CriticalValueCache:
     """Plain-text store of exact-MC estimates, one record per line.
+
+    No command reads one; only the benchmark's slope_search workload and
+    the tests' session_cache fixture pass one, until ROADMAP item 3 removes
+    it. A record names no sampler, so a file from older code serves that
+    code's values.
 
     Line format (whitespace-separated, full float precision):
 
@@ -274,5 +280,5 @@ class CriticalValueCache:
 def cached_critical_value(
     n: int, alpha: float, plan: SimPlan, cache: CriticalValueCache | None = None
 ) -> CriticalValueEstimate:
-    """Exact-MC critical value, served from the cache when the key matches."""
+    """Exact-MC critical value: from cache if passed and holding the key, else memo or draw."""
     return critical_values_mc_multi(n, [alpha], plan, cache)[0]

@@ -340,9 +340,10 @@ def find_sample_size_slope(
     and refines on validations with _refine_validated, so n clears and n - 1
     does not. The returned mean and sd come from a full validation
     (plan.reps_outer independent runs) at the final n. Critical values are
-    exact-MC by default, served through the cache; pass critval_plan to
-    control their replication counts. Raises SearchFailureError, before any
-    simulation, when the Fisher-z sample size exceeds n_ceiling.
+    exact-MC, from critvals' in-process store or a fresh draw (and from
+    cache first when one is passed); pass critval_plan to control their
+    replication counts. Raises SearchFailureError, before any simulation,
+    when the Fisher-z sample size exceeds n_ceiling.
     """
     if lam == 0.0:
         raise ValueError("effect size must be nonzero")
@@ -387,16 +388,13 @@ def power_table(
     targets,
     plan: SimPlan,
     *,
-    cache: CriticalValueCache | None = None,
     critval_plan: SimPlan | None = None,
 ) -> list[dict]:
     """Sample-size rows {lambda, power, n, mean, sd} over a lambda x target grid."""
     rows = []
     for lam in lambdas:
         for target in targets:
-            res = find_sample_size_slope(
-                lam, alpha, target, plan, cache=cache, critval_plan=critval_plan
-            )
+            res = find_sample_size_slope(lam, alpha, target, plan, critval_plan=critval_plan)
             rows.append(
                 {
                     "lambda": lam,

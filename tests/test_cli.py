@@ -74,10 +74,7 @@ class TestCritval:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_exact_after_table1_reuses_its_draws(
-        self, capsys, monkeypatch, tmp_path, draw_calls
-    ):
-        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    def test_exact_after_table1_reuses_its_draws(self, capsys, tmp_path, draw_calls):
         code, _, _ = run_cli(capsys, "table", "--which", "1", "--fast", "--seed", "3",
                              "--out", str(tmp_path / "t1.csv"))
         assert code == 0
@@ -89,6 +86,20 @@ class TestCritval:
         code, fresh, _ = run_cli(capsys, *args)
         assert code == 0 and len(draw_calls) == cli.FAST_CRITVAL[1]
         assert hit == fresh
+
+    def test_no_cache_file_is_read_or_accepted(self, capsys, monkeypatch, tmp_path):
+        command, golden = GOLDEN_STDOUT[0]
+        # a bogus value under the golden line's key (n alpha inner outer seed value sd)
+        record = "30 0.05 1000 50 1 9.0 0.1\n"
+        stale = tmp_path / "cv.txt"
+        stale.write_text(record)
+        monkeypatch.setenv("SLOPESIZE_CACHE", str(stale))
+        assert run_cli(capsys, *command.split())[:2] == (0, golden)
+        assert stale.read_text() == record
+        for argv in ([*command.split(), "--cache-path", str(stale)], ["cache", "show"]):
+            with pytest.raises(SystemExit) as usage:
+                cli.main(argv)
+            assert usage.value.code == 2
 
     def test_small_n_guard_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -313,26 +324,41 @@ class TestTable:
         assert first[0] == "20"
         assert first[1] == "0.423"
 
-    def test_table1_fills_the_cache_and_reads_it_back(self, capsys, tmp_path, draw_calls):
-        cache_path = tmp_path / "cv.txt"
-
+    def test_table1_again_in_one_process_draws_nothing(self, capsys, tmp_path, draw_calls):
         def table1(out):
             argv = ["table", "--which", "1", "--seed", "9", "--reps-inner", "100",
-                    "--reps-outer", "3", "--cache-path", str(cache_path), "--out", str(out)]
+                    "--reps-outer", "3", "--out", str(out)]
             assert run_cli(capsys, *argv)[0] == 0
             return out.read_bytes()
 
         first = table1(tmp_path / "first.csv")
-        records = cache_path.read_text()
-        assert sorted((int(line.split()[0]), float(line.split()[1]))
-                      for line in records.splitlines()) == sorted(
-            (n, alpha) for n in range(20, 101) for alpha in critvals.TABLE1_LEVELS
-        )
-        critvals._MC_MEMO.clear()
+        assert len(draw_calls) == 81 * 3
         del draw_calls[:]
         assert table1(tmp_path / "again.csv") == first
         assert draw_calls == []
-        assert cache_path.read_text() == records
+
+    @pytest.mark.parametrize("where", ["missing/t.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_fails_before_any_draw(self, capsys, tmp_path, draw_calls, where):
+        out_path = str(tmp_path / where)
+        code, out, err = run_cli(
+            capsys, "table", "--which", "1", "--fast", "--seed", "1", "--out", out_path
+        )
+        assert (code, out, draw_calls) == (2, "", [])
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot write --out {out_path}"]
+        assert "Traceback" not in err
+
+    def test_out_is_written_only_on_success(self, capsys, tmp_path, monkeypatch):
+        def exploding(*args, **kwargs):
+            raise SearchFailureError("no n found")
+
+        monkeypatch.setattr(cli.powersim, "find_sample_size_slope", exploding)
+        out_path = tmp_path / "t2.csv"
+        code, out, _ = run_cli(
+            capsys, "table", "--which", "2", "--fast", "--seed", "1", "--out", str(out_path)
+        )
+        assert (code, out) == (3, "")
+        assert not out_path.exists()
 
     def test_power_table_json_fields(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_LAMBDAS", [0.6])
@@ -382,9 +408,13 @@ def test_reproduce_tables_searches_each_cell_once(capsys, monkeypatch, tmp_path)
     monkeypatch.setattr(cli.powersim, "find_sample_size_slope", fake_search)
     script = load_reproduce_tables()
     out = tmp_path / "tables"
-    only = ["--only", "2", "3", "4", "5", "6", "7"]
+    only = ["--only", "1", "2", "3", "4", "5", "6", "7"]
     assert script.main(["--out", str(out), "--fast", "--seed", "5", *only]) == 0
     assert len(calls) == 72 and len(set(calls)) == 72
+    # every critical value stays in process: no file beside the tables
+    assert sorted(path.name for path in out.iterdir()) == [
+        f"table{which}.csv" for which in range(1, 8)
+    ]
     # tables 5-7 read the searches of tables 2-4 and match a standalone run
     for which in (5, 6, 7):
         alone = tmp_path / f"alone{which}.csv"
@@ -392,36 +422,6 @@ def test_reproduce_tables_searches_each_cell_once(capsys, monkeypatch, tmp_path)
         assert cli.main(argv) == 0
         assert (out / f"table{which}.csv").read_bytes() == alone.read_bytes()
     assert len(calls) == 72 + 3 * 24
-
-
-class TestCacheCommand:
-    def test_show_and_clear(self, capsys, tmp_path):
-        cache_path = tmp_path / "cv.txt"
-        code, _, _ = run_cli(
-            capsys, "critval", "--n", "20", "--alpha", "0.1", "--method", "exact",
-            "--seed", "1", "--fast", "--cache-path", str(cache_path),
-        )
-        assert code == 0
-        code, out, _ = run_cli(capsys, "cache", "show", "--cache-path", str(cache_path))
-        assert code == 0
-        assert "1 records" in out
-        code, _, err = run_cli(capsys, "cache", "clear", "--cache-path", str(cache_path))
-        assert code == 0
-        assert not cache_path.exists()
-
-    def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
-        cache_path = tmp_path / "env.txt"
-        monkeypatch.setenv(cli.CACHE_ENV, str(cache_path))
-        run_cli(
-            capsys, "critval", "--n", "20", "--alpha", "0.1", "--method", "exact",
-            "--seed", "1", "--fast",
-        )
-        assert cache_path.exists()
-
-    def test_missing_cache_path_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-        code, _, err = run_cli(capsys, "cache", "show")
-        assert code == 2
 
 
 # stdout of fixed-seed commands, captured before the correlation Monte Carlo
@@ -452,8 +452,7 @@ GOLDEN_STDOUT = [
 
 
 @pytest.mark.parametrize("command, stdout", GOLDEN_STDOUT)
-def test_golden_stdout(capsys, monkeypatch, command, stdout):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+def test_golden_stdout(capsys, command, stdout):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert out == stdout
@@ -486,9 +485,7 @@ class TestParserReuse:
         assert len(built) == 1
         assert cli.build_parser() is built[0]
 
-    def test_golden_stdout_survives_errors_and_help(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-
+    def test_golden_stdout_survives_errors_and_help(self, capsys):
         def check(golden):
             for command, stdout in golden:
                 assert run_cli(capsys, *command.split())[:2] == (0, stdout)
@@ -510,7 +507,7 @@ class TestParserReuse:
             raise cli.UsageError("stopped before any work")
 
         monkeypatch.setattr(cli, "_plans", stop)
-        flags = ["--fast", "--format", "json", "--cache-path", "cv.txt", "--seed", "7"]
+        flags = ["--fast", "--format", "json", "--reps-outer", "7", "--seed", "7"]
         corr = ["power", "--route", "corr", "--n", "30", "--rho", "0.3", "--alpha", "0.05"]
         critval = ["critval", "--n", "30", "--alpha", "0.05"]
         assert cli.main([*corr, "--mc", *flags], power_rows={}) == cli.EXIT_USAGE
@@ -521,10 +518,10 @@ class TestParserReuse:
         flagged_power, plain_power, flagged_critval, plain_critval = seen
         assert len({id(args) for args in seen}) == 4
         for flagged in (flagged_power, flagged_critval):
-            assert (flagged.fast, flagged.format, flagged.cache_path, flagged.seed) == (
-                True, "json", "cv.txt", 7)
+            assert (flagged.fast, flagged.format, flagged.reps_outer, flagged.seed) == (
+                True, "json", 7, 7)
         for plain in (plain_power, plain_critval):
-            assert (plain.fast, plain.format, plain.cache_path, plain.seed) == (
+            assert (plain.fast, plain.format, plain.reps_outer, plain.seed) == (
                 False, "text", None, None)
             assert plain.power_rows is None
         assert flagged_power.mc is True and plain_power.mc is False

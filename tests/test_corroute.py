@@ -253,11 +253,10 @@ class TestFindSampleSizeCorr:
 
 
 class TestContrastTable:
-    def test_small_grid_structure(self, session_cache):
+    def test_small_grid_structure(self):
         plan = SimPlan(reps_inner=1_000, reps_outer=50, master_seed=SEED)
         power_rows = power_table(
             0.10, [0.6], [0.80], plan,
-            cache=session_cache,
             critval_plan=SimPlan(reps_inner=1_000, reps_outer=50, master_seed=SEED),
         )
         rows = contrast_table(0.10, power_rows)

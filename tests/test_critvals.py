@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_no_helper_alive
-from slopesize import cli, critvals
+from slopesize import critvals
 from slopesize.critvals import (
     EXACT_MC,
     NORMAL_APPROX,
@@ -375,7 +375,7 @@ class TestCache:
         if between == "append":
             other.store(theirs, PLAN)
         else:
-            assert cli.main(["cache", "clear", "--cache-path", str(path)]) == 0
+            path.unlink()
         cache.store(mine, PLAN)
         assert cache.lookup(20, 0.01, PLAN) == mine
         if between == "append":
@@ -397,12 +397,12 @@ class TestCache:
         assert cache.lookup(20, 0.10, PLAN) is None
         assert cache.lookup(20, 0.05, PLAN) == est
 
-    def test_cache_clear_causes_a_miss(self, tmp_path, capsys):
+    def test_cache_clear_causes_a_miss(self, tmp_path):
         path = tmp_path / "cv.txt"
         cache = CriticalValueCache(path)
         est = cached_critical_value(20, 0.05, PLAN, cache)
         assert cache.lookup(20, 0.05, PLAN) == est
-        assert cli.main(["cache", "clear", "--cache-path", str(path)]) == 0
+        path.unlink()
         assert cache.lookup(20, 0.05, PLAN) is None
 
     def test_filed_level_is_served_and_only_missing_levels_appended(self, tmp_path, draw_calls):

@@ -839,11 +839,10 @@ class TestRefineValidated:
 
 
 class TestPowerTable:
-    def test_row_shape(self, session_cache):
+    def test_row_shape(self):
         plan = SimPlan(reps_inner=1_000, reps_outer=50, master_seed=SEED)
         rows = power_table(
             0.10, [0.6], [0.80], plan,
-            cache=session_cache,
             critval_plan=SimPlan(reps_inner=1_000, reps_outer=50, master_seed=SEED),
         )
         assert len(rows) == 1
