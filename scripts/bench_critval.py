@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Speed of exact-MC critical values, the kernel and the search, before and after a change.
 
-Measures nine layers, each in a fresh process per side and pair, with the
+Measures ten layers, each in a fresh process per side and pair, with the
 sides alternating (ABAB, then BABA) so that drift of the host's speed falls
 on both:
 
@@ -49,7 +49,16 @@ on both:
               (0.6, 0.10, 0.80), (0.6, 0.10, 0.90) and (0.5, 0.10, 0.80) at
               power seeds 1, 2 and 1 and critical-value seed 1, drawn afresh
               (no cache file, the exact-MC memo emptied first); the
-              validation runs they draw and their CPU and wall seconds.
+              validation runs they draw and their CPU and wall seconds;
+  block       one block of a search's validation runs as the search draws
+              it (powersim._slope_t_rows): 50 runs of 1,000 trials at n =
+              22, lambda 0.6, seed 1, alone and after the 10 replicates of
+              a critical-value miss (10,000 draws each, alpha 0.10, seed 1;
+              the replicates are drawn, not kept), each on one thread (the
+              split's items called in order on the calling thread) and
+              split over two; the median wall milliseconds over
+              block_repeats, the four timed one after the other in each
+              repeat, and the scaling of each (one thread over split).
 
 Times are time.process_time() of the measuring process, which adds up the
 CPU of all its threads; the *_wall_s fields are time.perf_counter() seconds.
@@ -80,6 +89,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -112,6 +122,10 @@ CLIHIT_ARGV = ["critval", "--n", "30", "--alpha", "0.05", "--method", "exact", "
                "--seed", "1"]
 # (lambda, alpha, target power, power-plan seed), as in bench/workloads.py
 SCOUT_CELLS = [(0.6, 0.10, 0.80, 1), (0.6, 0.10, 0.90, 2), (0.5, 0.10, 0.80, 1)]
+# (n, lambda, runs, trials, miss replicates, draws per replicate, alpha, seed): the
+# first block of a validation at the slope_search workload's plans, whose
+# cells validate sizes near 22
+BLOCK = (22, 0.6, 50, 1_000, 10, 10_000, 0.10, 1)
 CORR_CELLS = [(lam, alpha, target) for alpha in (0.10, 0.05, 0.01)
               for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) for target in (0.80, 0.90, 0.95, 0.99)]
 TIMES = ("critval_request_s", "critval_request_wall_s", "search_cell_s", "search_wall_s",
@@ -125,11 +139,12 @@ PAIRS = 3  # measuring processes per side; --quick runs one
 FULL = {"chisq_size": 10_000, "chisq_keys": 100, "chisq_repeats": 3,
         "stream_keys": 2_000, "stream_runs": 200, "stream_repeats": 9, "reps": [],
         "corrmc_trials": 2_000, "clihit_calls": 200, "scouts_power": [1_000, 51],
-        "scouts_critval": [10_000, 10]}
+        "scouts_critval": [10_000, 10], "block_repeats": 30}
 QUICK = {"chisq_size": 1_000, "chisq_keys": 3, "chisq_repeats": 1,
          "stream_keys": 10, "stream_runs": 3, "stream_repeats": 1,
          "reps": ["--reps-inner", "200", "--reps-outer", "3"], "corrmc_trials": 100,
-         "clihit_calls": 10, "scouts_power": [200, 3], "scouts_critval": [1_000, 3]}
+         "clihit_calls": 10, "scouts_power": [200, 3], "scouts_critval": [1_000, 3],
+         "block_repeats": 2}
 
 
 # -- measuring process ------------------------------------------------------
@@ -264,6 +279,49 @@ def scout_searches(sizes: dict) -> tuple[int, float, float, str]:
     return len(drawn), cpu, wall, out
 
 
+def _one_thread(count, work):
+    """stochastics._split_items without the helper: every item, in order, on this thread."""
+    for i in range(count):
+        work(i)
+
+
+def block_ms(sizes: dict) -> tuple[dict, str]:
+    """Median wall milliseconds of the BLOCK layers over block_repeats, the
+    scalings, and the SHA-256 of one block's rows and replicate roots."""
+    from slopesize import critvals, powersim
+    from slopesize.stochastics import VALIDATION_TASK_BASE, SimPlan
+
+    n, lam, runs, trials, reps, draws, alpha, seed = BLOCK
+    tasks = [VALIDATION_TASK_BASE + v * trials for v in range(runs)]
+    cv_plan = SimPlan(draws, reps, seed)
+    critvals._MC_MEMO.clear()
+    inner = powersim._split_items
+
+    def block(split, miss):
+        # a pending draw is never kept, so each one misses the memo again
+        draw = critvals._PendingDraw(n, [alpha], cv_plan, None) if miss else None
+        powersim._split_items = split
+        start = time.perf_counter()
+        try:
+            rows = powersim._slope_t_rows(n, lam, seed, tasks, trials, draw)
+        finally:
+            powersim._split_items = inner
+        return (time.perf_counter() - start) * 1e3, rows, draw
+
+    layers = {"rows_1t_ms": (_one_thread, False), "rows_split_ms": (inner, False),
+              "miss_1t_ms": (_one_thread, True), "miss_split_ms": (inner, True)}
+    times: dict = {name: [] for name in layers}
+    for _ in range(sizes["block_repeats"]):
+        for name, (split, miss) in layers.items():
+            times[name].append(block(split, miss)[0])
+    result = {name: round(statistics.median(ms), 3) for name, ms in times.items()}
+    for kind in ("rows", "miss"):
+        result[f"{kind}_scaling"] = round(result[f"{kind}_1t_ms"] / result[f"{kind}_split_ms"], 3)
+    _, rows, draw = block(inner, True)
+    digest = hashlib.sha256(rows.tobytes() + draw.roots.tobytes()).hexdigest()
+    return result, f"sha256={digest}\n"
+
+
 def least_us(sizes: dict, params, draw) -> dict:
     """Least CPU microseconds per draw(k, p) call over chisq_keys keys k, per p in params."""
     best = {}
@@ -342,6 +400,7 @@ def measure(sizes: dict) -> dict:
     corrmc_s, corrmc_wall, corrmc_out = corr_mc_powers(sizes["corrmc_trials"])
     clihit_s, clihit_wall, clihit_out = cli_hits(cli, sizes["clihit_calls"])
     scouts_runs, scouts_s, scouts_wall, scouts_out = scout_searches(sizes)
+    block, block_out = block_ms(sizes)
     return {
         "chisq_us_per_10k": chisq,
         "chisq_us_per_1k": chisq_run,
@@ -365,9 +424,10 @@ def measure(sizes: dict) -> dict:
         "scouts_runs": scouts_runs,
         "scouts_s": round(scouts_s, 3),
         "scouts_wall_s": round(scouts_wall, 3),
+        "block": block,
         "stdout": {"critval": critval_out, "search": search_out,
                    "levels": "".join(out for _, _, out in levels), "corrmc": corrmc_out,
-                   "clihit": clihit_out, "scouts": scouts_out},
+                   "clihit": clihit_out, "scouts": scouts_out, "block": block_out},
     }
 
 
@@ -465,6 +525,8 @@ def _median(runs: list[dict]) -> dict:
                    for df in runs[0][layer]} for layer in DRAW_LAYERS},
         "streams": {key: round(statistics.median(r["streams"][key] for r in runs), 2)
                     for key in runs[0]["streams"]},
+        "block": {key: round(statistics.median(r["block"][key] for r in runs), 3)
+                  for key in runs[0]["block"]},
         **{key: round(statistics.median(r[key] for r in runs), 3) for key in TIMES},
         **{key: round(statistics.median(r[key] for r in runs), 6) for key in FINE_TIMES},
         **{key: statistics.median(r[key] for r in runs) for key in (*COUNTS, "search_peak_rss_mb")},
@@ -480,6 +542,7 @@ def _change(before: dict, after: dict) -> dict:
            for layer in DRAW_LAYERS},
         "streams": {key: rel(before["streams"][key], after["streams"][key])
                     for key in before["streams"]},
+        "block": {key: rel(before["block"][key], after["block"][key]) for key in before["block"]},
         **{key: rel(before[key], after[key])
            for key in (*TIMES, *FINE_TIMES, *COUNTS, "search_peak_rss_mb")},
     }
@@ -507,7 +570,8 @@ def main(argv=None) -> int:
                      "critical values inside one slope search, three levels at one n; "
                      "replicate kernel: corr_power_mc at the 72 table cells; "
                      "a memo-hit critval request in process; "
-                     "the three slope_search cells of the benchmark",
+                     "the three slope_search cells of the benchmark; "
+                     "one block of validation runs, with and without a miss, on one thread and split",
         "timer": "time.process_time (CPU of all threads) of a fresh process per side and pair, "
                  "sides alternating; *_wall_s fields are time.perf_counter",
         "quick": args.quick,
@@ -515,7 +579,9 @@ def main(argv=None) -> int:
                   "t2_ns": list(T2_NS),
                   "stream_run_trials": list(STREAM_RUN_TRIALS),
                   "corrmc_cells": len(CORR_CELLS),
-                  "scout_cells": [list(cell) for cell in SCOUT_CELLS]},
+                  "scout_cells": [list(cell) for cell in SCOUT_CELLS],
+                  "block": dict(zip(("n", "lambda", "runs", "trials", "replicates", "draws",
+                                     "alpha", "seed"), BLOCK))},
         "commands": {"streams": "stochastics.normal_array(StreamKey(1, k, 0), 1) per key; "
                                 "powersim.simulate_power_slope(30, 0.5, 0.05, c, trials, 1, "
                                 "task_base=k * trials) per run, c.value = 0.4",
@@ -530,14 +596,20 @@ def main(argv=None) -> int:
                      "scouts": "powersim.find_sample_size_slope(lam, alpha, target, "
                                "SimPlan(*scouts_power, seed), "
                                "critval_plan=SimPlan(*scouts_critval, 1)) "
-                               "per cell (lam, alpha, target, seed) of scout_cells"},
+                               "per cell (lam, alpha, target, seed) of scout_cells",
+                     "block": "powersim._slope_t_rows(n, lambda, seed, [VALIDATION_TASK_BASE + v * "
+                              "trials for v < runs], trials, draw), draw None or "
+                              "critvals._PendingDraw(n, [alpha], SimPlan(draws, replicates, "
+                              "seed), None); one thread: powersim._split_items replaced by an "
+                              "in-order loop; stdout: SHA-256 of the rows and the roots"},
         "seeds": {"chisq": "StreamKey(1, k, 0), k < chisq_keys",
                   "t2": "StreamKey(1, k), k < chisq_keys",
                   "streams": "StreamKey(1, k, 0), k < stream_keys; slope runs at seed 1, "
                              "task base k * trials, k < stream_runs",
                   "critval": 1, "search": 1,
                   "levels": 1, "corrmc": 1, "clihit": 1,
-                  "scouts": {"power": [seed for *_, seed in SCOUT_CELLS], "critval": 1}},
+                  "scouts": {"power": [seed for *_, seed in SCOUT_CELLS], "critval": 1},
+                  "block": BLOCK[-1]},
         "machine": machine(),
         "stdout": outputs["after"][-1],
         "outputs_identical": identical,

@@ -114,10 +114,14 @@ class _PendingDraw:
         self.levels = list(dict.fromkeys([*missing, *TABLE1_LEVELS]))
         self.reps = plan.reps_outer if missing else 0
         self.roots = np.empty((len(self.levels), self.reps))
+        # the lowest order statistic any level's quantile reads (_quantile_sorted)
+        m = plan.reps_inner
+        self.lowest = min(int(math.floor((m - 1) * (1.0 - a))) for a in self.levels)
 
     def replicate(self, j: int) -> None:
         draws = t2_null_draws(StreamKey(self.plan.master_seed, j), self.n, self.plan.reps_inner)
-        draws.sort()
+        draws.partition(self.lowest)
+        draws[self.lowest:].sort()
         for i, alpha in enumerate(self.levels):
             self.roots[i, j] = math.sqrt(_quantile_sorted(draws, 1.0 - alpha))
 

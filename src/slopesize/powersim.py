@@ -45,9 +45,8 @@ from .stochastics import (
     VALIDATION_TASK_BASE,
     SimPlan,
     StreamKey,
+    _rekeyed_at,
     _split_items,
-    chisq_array,
-    normal_array,
 )
 from .stochastics import normal_matrix  # noqa: F401  (the benchmark tracer wraps it by name)
 
@@ -126,13 +125,15 @@ def _run_tasks(n: int, lam: float, tasks) -> range | np.ndarray:
 
 
 def _draw_run(n: int, master_seed: int, first_task: int, block, row: int) -> None:
-    """Draw the S, W and Z of the run keyed by first_task into row `row` of block."""
-    s, w, z = block
-    trials = s.shape[1]
-    key = StreamKey(master_seed, first_task)
-    s[row] = chisq_array(key.with_stream(_S_STREAM), n - 1, trials)
-    w[row] = chisq_array(key.with_stream(_W_STREAM), n - 2, trials)
-    z[row] = normal_array(key.with_stream(_Z_STREAM), trials)
+    """Draw the S, W and Z of the run keyed by first_task into row `row` of block.
+
+    The bytes of chisq_array and normal_array, drawn in place on the rows.
+    """
+    s, w, z = (part[row] for part in block)
+    for out, stream, df in ((s, _S_STREAM, n - 1), (w, _W_STREAM, n - 2)):
+        _rekeyed_at(master_seed, first_task, stream).standard_gamma(df / 2, out=out)
+        out *= 2.0
+    _rekeyed_at(master_seed, first_task, _Z_STREAM).standard_normal(out=z)
 
 
 def _slope_t_rows(n: int, lam: float, master_seed: int, first_tasks, trials: int, draw=None):
@@ -174,6 +175,7 @@ def slope_t_batch(n: int, lam: float, master_seed: int, tasks) -> np.ndarray:
     runs are the rows of blocks drawn the same way.
     """
     tasks = _run_tasks(n, lam, tasks)
+    StreamKey(master_seed, int(tasks[0]))  # ValueError unless the run's key is valid
     return _slope_t_rows(n, lam, master_seed, [int(tasks[0])], len(tasks))[0]
 
 

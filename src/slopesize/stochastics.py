@@ -12,10 +12,11 @@ only on the trial count. So results are bit-identical for a given plan
 regardless of the order in which runs are evaluated or the thread that draws
 them.
 
-A one-shot draw (normal_array, chisq_array) re-keys its thread's own Philox
-to the key's position and reads the whole vector at once, so it gives the
-same bytes as a fresh generator(key) without building one. Each thread builds
-its bit generator at its first one-shot draw and keeps it. A one-shot draw is
+A one-shot draw (normal_array, chisq_array, or _rekeyed_at's generator
+filling a caller's row in place) re-keys its thread's own Philox to the
+key's position and reads the whole vector at once, so it gives the same
+bytes as a fresh generator(key) without building one. Each thread builds its
+bit generator at its first one-shot draw and keeps it. A one-shot draw is
 not reentrant on its thread: code run between the re-keying and the draw (a
 signal handler, say) must not make another one, and nothing in the package
 does. A stream held open across calls, such as a correlation run's blocks,
@@ -54,8 +55,9 @@ VALIDATION_TASK_BASE. This separates them from simulate_power_slope runs at
 task 0.
 
 A stream is read by numpy's Generator algorithms: standard_normal for
-normals and chisquare (its compiled gamma sampler) for chi-squares. So the
-seeded numbers depend on them; the bytes are pinned on numpy 2.4.6
+normals and, for chi-squares, its compiled gamma sampler: chisquare(df) is
+2 * standard_gamma(df / 2), so the two give the same bytes. So the seeded
+numbers depend on them; the bytes are pinned on numpy 2.4.6
 (tests/test_stochastics.py, TestSamplerBits).
 """
 
@@ -152,32 +154,37 @@ _thread_bits = threading.local()
 
 
 def _rekeyed(key: StreamKey) -> Generator:
-    """This thread's Generator, re-keyed to the state of a fresh generator(key).
+    """This thread's Generator, re-keyed to the state of a fresh generator(key)."""
+    return _rekeyed_at(key.master_seed, key.task_id, key.stream_id)
+
+
+def _rekeyed_at(master_seed: int, task_id: int, stream_id: int) -> Generator:
+    """_rekeyed(StreamKey(master_seed, task_id, stream_id)), without building the key.
 
     The state written is a new Philox's: key (master_seed, task_id), counter
     (0, 0, stream_id, 0), an empty buffer and no spare 32-bit half, whatever
     the last draw left. It reads the key's stream until the thread's next
-    call re-keys it.
+    call re-keys it. The integers must be a valid StreamKey's.
     """
     try:
         bit_gen, gen, state, key_words, counter = _thread_bits.stream
     except AttributeError:
         bit_gen = Philox(key=0)
         gen = Generator(bit_gen)
-        key_words = np.zeros(2, dtype=np.uint64)
-        counter = np.zeros(4, dtype=np.uint64)
+        # lists of ints, which the state setter reads faster than uint64 arrays
+        key_words, counter = [0, 0], [0, 0, 0, 0]
         state = {
             "bit_generator": "Philox",
             "state": {"counter": counter, "key": key_words},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
         _thread_bits.stream = bit_gen, gen, state, key_words, counter
-    key_words[0] = key.master_seed
-    key_words[1] = key.task_id
-    counter[2] = key.stream_id
+    key_words[0] = master_seed
+    key_words[1] = task_id
+    counter[2] = stream_id
     bit_gen.state = state
     return gen
 
@@ -219,7 +226,8 @@ def _quantile_sorted(sorted_values: np.ndarray, p: float) -> float:
     """Empirical p-quantile of sorted data, interpolated between order statistics.
 
     With m values and h = (m - 1) * p, returns
-    x[floor(h)] + (h - floor(h)) * (x[floor(h) + 1] - x[floor(h)]) (0-indexed).
+    x[i] + (h - i) * (x[i + 1] - x[i]) with i = floor(h) (0-indexed). It reads
+    only x[i] and x[i + 1], so only they need to be in sorted position.
     """
     m = sorted_values.size
     h = (m - 1) * p

@@ -53,3 +53,9 @@ def test_quick_run_writes_every_key(tmp_path):
                 "levels_wall_s", "corrmc_wall_s", "clihit_wall_s", "scouts_wall_s"):
         assert run[key] > 0.0
     assert run["search_critval_wall_s"] <= run["search_wall_s"]
+    block_keys = {"rows_1t_ms", "rows_split_ms", "miss_1t_ms", "miss_split_ms", "rows_scaling",
+                  "miss_scaling"}
+    assert set(run["block"]) == set(report["after"]["median"]["block"]) == block_keys
+    assert all(value > 0.0 for value in run["block"].values())
+    assert report["sizes"]["block"]["runs"] == 50 and report["sizes"]["block"]["n"] == 22
+    assert report["stdout"]["block"].startswith("sha256=")

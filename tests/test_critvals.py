@@ -265,6 +265,20 @@ class TestSplitReplicates:
         assert hex_pairs([est]) == serial_hex(25, [0.05], SMALL)
 
 
+class TestPartialSort:
+    """A replicate sorts only the order statistics its levels read."""
+
+    # alpha 0.9 reads the lowest order statistic, below every Table 1 level's
+    LEVELS = [0.5, 0.9, 1e-3, *TABLE1_LEVELS]
+
+    @pytest.mark.parametrize("reps_inner", [100, 10_000])
+    def test_levels_off_the_table_match_a_full_sort(self, reps_inner):
+        plan = SimPlan(reps_inner, 3, SEED)
+        critvals._MC_MEMO.clear()
+        got = critical_values_mc_multi(29, self.LEVELS, plan)
+        assert hex_pairs(got) == serial_hex(29, self.LEVELS, plan)
+
+
 class TestNormalApproxConvergence:
     def test_max_gap_on_large_n_band(self):
         for n in (100, 150, 200):

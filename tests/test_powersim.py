@@ -609,6 +609,22 @@ class TestValidationBlocks:
                 want.append(np.count_nonzero(np.abs(t_vals) > c) / trials)
             assert [p.hex() for p in search._powers[n]] == [p.hex() for p in want]
 
+    @pytest.mark.parametrize("trials", [100, 1_000])
+    @pytest.mark.parametrize("n", [4, 5, 22, 2_400])
+    def test_block_rows_are_the_bytes_of_fresh_generators(self, n, trials):
+        # the rows are filled in place on both threads, a chi-square as
+        # 2 * standard_gamma(df / 2); each must be its stream's chisquare
+        # or standard_normal, whatever the block held before
+        first_tasks = [VALIDATION_TASK_BASE + v * trials for v in range(4)]
+        block = tuple(np.full((4, trials), np.nan) for _ in range(3))
+        stochastics._split_items(
+            4, lambda row: powersim._draw_run(n, SEED, first_tasks[row], block, row))
+        for row, first in enumerate(first_tasks):
+            s, w, z = (part[row].tobytes() for part in block)
+            assert s == generator(StreamKey(SEED, first, 102)).chisquare(n - 1, trials).tobytes()
+            assert w == generator(StreamKey(SEED, first, 103)).chisquare(n - 2, trials).tobytes()
+            assert z == generator(StreamKey(SEED, first, 104)).standard_normal(trials).tobytes()
+
     def test_merged_miss_equals_a_lone_critical_value(self):
         self.search().validate(24, 50)
         # the miss kept the three table levels, alpha = 0.10 among them
